@@ -49,21 +49,20 @@ let workloads () =
   let g200, order200 = instance P.Ligo 200 in
   let g20, order20 = instance P.Genome 20 in
   let n = Array.length order200 in
-  let engine = Eval_engine.create model g200 ~order:order200 in
-  ignore (Eval_engine.makespan engine);
+  let engine = Flat_engine.create model g200 ~order:order200 in
+  ignore (Flat_engine.makespan engine);
   let flips = 2 * n * 5 in
   let single_flip () =
     (* an even number of passes over every position leaves the flag vector
        exactly as it started: every execution times the same flip sequence *)
     let i = ref 0 in
     for _ = 1 to flips do
-      ignore (Eval_engine.flip engine (!i mod n));
+      ignore (Flat_engine.flip engine (!i mod n));
       incr i
     done
   in
   let sweep () =
-    Heuristics.run ~search:Heuristics.Exhaustive
-      ~backend:Eval_engine.Incremental model g200
+    Heuristics.run ~search:Heuristics.Exhaustive model g200
       ~lin:Wfc_dag.Linearize.Depth_first ~ckpt:Heuristics.Ckpt_weight
   in
   let flags =
@@ -72,11 +71,11 @@ let workloads () =
   in
   let seed_sched = Schedule.make g200 ~order:order200 ~checkpointed:flags in
   let local_search () =
-    Local_search.improve ~backend:Eval_engine.Incremental model g200 seed_sched
+    Local_search.improve model g200 seed_sched
   in
   let exact () =
-    Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Incremental
-      ~max_nodes:200_000 model g20 ~order:order20
+    Exact_solver.optimal_checkpoints_within ~max_nodes:200_000 model g20
+      ~order:order20
   in
   [
     ( "single-flip/Ligo/n=200",
@@ -92,7 +91,7 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* name -> engine_seconds from BENCH_engine.json *)
+(* name -> flat_seconds from BENCH_engine.json *)
 let baseline () =
   let ( let* ) = Json.( let* ) in
   let decode json =
@@ -103,7 +102,7 @@ let baseline () =
         let* acc = acc in
         let* name = Json.member "name" row in
         let* name = Json.to_string_value name in
-        let* s = Json.member "engine_seconds" row in
+        let* s = Json.member "flat_seconds" row in
         let* s = Json.to_float s in
         Ok ((name, s) :: acc))
       (Ok []) rows

@@ -25,9 +25,8 @@ let getenv_int name default =
 
 (* A few distinct cache keys (family x size x MTBF), re-solved round-robin:
    a plausible "same workflows, parameter studies" service load where warm
-   engines pay off. The flat backend at n ~ 800 is the configuration where
-   handle construction (bigarray layout + precompute) is a substantial
-   fraction of a request, so the cache's effect is well above timer noise;
+   engines pay off. At n ~ 800 handle construction (buffer layout +
+   precompute) is a substantial fraction of a request, so the cache's effect is well above timer noise;
    a small grid keeps the per-request sweep from drowning it. *)
 let workload reps =
   let lines =

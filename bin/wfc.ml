@@ -245,19 +245,19 @@ let engine_conv =
   let parse s =
     match Wfc_core.Eval_engine.backend_of_string s with
     | Some b -> Ok b
-    | None -> Error (`Msg (Printf.sprintf "unknown engine '%s' (naive, incremental or flat)" s))
+    | None -> Error (`Msg (Printf.sprintf "unknown engine '%s' (flat or naive)" s))
   in
   Arg.conv
     (parse, fun ppf b -> Format.pp_print_string ppf (Wfc_core.Eval_engine.backend_name b))
 
 let engine_t =
-  Arg.(value & opt engine_conv Wfc_core.Eval_engine.Incremental
+  Arg.(value & opt engine_conv Wfc_core.Eval_engine.Flat
        & info [ "engine" ]
-           ~doc:"Evaluation backend for checkpoint searches: incremental \
-                 (cached suffix re-evaluation), flat (the same semantics on \
-                 contiguous zero-allocation buffers, with a dominance-pruned \
-                 parallel branch and bound) or naive (one full evaluator \
-                 call per candidate). All report oracle makespans.")
+           ~doc:"How checkpoint searches score candidates: flat (the \
+                 evaluation kernel, cached suffix re-evaluation on \
+                 zero-allocation buffers) or naive (one full evaluator call \
+                 per candidate, for debugging). The exact tier always runs \
+                 on the kernel. Both report oracle makespans.")
 
 let load_t =
   Arg.(value & opt (some string) None
@@ -1445,8 +1445,7 @@ let profile_cmd =
     Arg.(value & opt (positive_int "domain count") 1
          & info [ "bnb-domains" ] ~docv:"N"
              ~doc:"Explore the exact tier's branch-and-bound tree over this \
-                   many parallel domains (flat engine only; the sequential \
-                   engines ignore it).")
+                   many parallel domains.")
   in
   Cmd.v
     (Cmd.info "profile"

@@ -17,9 +17,8 @@ let m_dominance = Metrics.counter "bnb.dominance_pruned"
 let m_memo_hits = Metrics.counter "bnb.memo_hits"
 let m_steals = Metrics.counter "bnb.steals"
 
-(* Warm-start candidates, in a fixed order shared by every backend: the
-   incumbent both searches start from is identical, which keeps the flat
-   backend's node walk comparable node-for-node with the sequential one. *)
+(* Warm-start candidates, in a fixed order: the oracle-evaluated heuristic
+   sweep the search takes its first incumbent from. *)
 let warm_candidates g ~order =
   let n = Array.length order in
   Array.make n false :: Array.make n true
@@ -44,11 +43,11 @@ let tail_bound model g ~order =
   done;
   tail
 
-(* ---- flat backend: dominance-pruned, memoized, parallel ---------------- *)
+(* ---- the search: dominance-pruned, memoized, parallel ------------------ *)
 
 (* Everything a search domain owns privately; only the incumbent, the node
    budget and the stop flag are shared. *)
-type flat_worker = {
+type worker = {
   eng : Flat_engine.t;
   wflags : bool array; (* mirror of the engine's flag vector, by task *)
   tbl : (int, float * int) Hashtbl.t; (* sig -> (suffix cost, suffix bits) *)
@@ -60,20 +59,16 @@ type flat_worker = {
 
 let memo_min_suffix = 8
 
-let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
-    ~order =
+let bnb ~max_nodes ~should_stop ~cancel ~domains model g ~order =
   let n = Array.length order in
   Trace.with_span "exact.bnb"
-    ~args:
-      [ ("n", string_of_int n);
-        ("backend", "flat");
-        ("domains", string_of_int domains) ]
+    ~args:[ ("n", string_of_int n); ("domains", string_of_int domains) ]
   @@ fun () ->
   let tail = tail_bound model g ~order in
   let pos = Array.make n (-1) in
   Array.iteri (fun p v -> pos.(v) <- p) order;
   (* suffix completions are stored as position bitmasks *)
-  let memo = memo && n <= 62 in
+  let memo = n <= 62 in
   (* warm start: oracle-evaluated heuristic sweep *)
   let inc0_flags = ref (Array.make n false) in
   let inc0 = ref infinity in
@@ -89,22 +84,19 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
     end
   in
   List.iter try_inc (warm_candidates g ~order);
-  (* hill-climb the warm start on the flat engine: a tight incumbent is the
-     strongest pruner. Skipped when both pruning features are disabled so a
-     parity run matches the sequential search's node walk exactly. *)
-  if dominance || memo then begin
-    let ls =
-      Local_search.improve
-        ~max_evaluations:(Int.min 4000 (Int.max 256 (8 * n)))
-        ~cancel ~backend:Eval_engine.Flat model g
-        (Schedule.make g ~order ~checkpointed:!inc0_flags)
-    in
-    if ls.Local_search.makespan < !inc0 then begin
-      inc0 := ls.Local_search.makespan;
-      inc0_flags := Array.copy ls.Local_search.schedule.Schedule.checkpointed
-    end
+  (* hill-climb the warm start on the kernel: a tight incumbent is the
+     strongest pruner *)
+  let ls =
+    Local_search.improve
+      ~max_evaluations:(Int.min 4000 (Int.max 256 (8 * n)))
+      ~cancel ~backend:Eval_engine.Flat model g
+      (Schedule.make g ~order ~checkpointed:!inc0_flags)
+  in
+  if ls.Local_search.makespan < !inc0 then begin
+    inc0 := ls.Local_search.makespan;
+    inc0_flags := Array.copy ls.Local_search.schedule.Schedule.checkpointed
   end;
-  (* static flag-dominance facts per position (see DESIGN.md section 10):
+  (* static flag-dominance facts per position (see DESIGN.md section 9):
      R1 — a task with no strict descendants is never replayed by any fault
      row, so its checkpoint only adds cost and exposure: never checkpoint;
      R2 — a zero-cost checkpoint with recovery <= weight makes every replay
@@ -112,17 +104,16 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
      checkpoint. *)
   let skip_true = Array.make n false in
   let skip_false = Array.make n false in
-  if dominance then
-    for p = 0 to n - 1 do
-      let v = order.(p) in
-      let task = Wfc_dag.Dag.task g v in
-      if Array.length (Wfc_dag.Dag.succs_array g v) = 0 then
-        skip_true.(p) <- true
-      else if
-        task.Wfc_dag.Task.checkpoint_cost = 0.
-        && task.Wfc_dag.Task.recovery_cost <= task.Wfc_dag.Task.weight
-      then skip_false.(p) <- true
-    done;
+  for p = 0 to n - 1 do
+    let v = order.(p) in
+    let task = Wfc_dag.Dag.task g v in
+    if Array.length (Wfc_dag.Dag.succs_array g v) = 0 then
+      skip_true.(p) <- true
+    else if
+      task.Wfc_dag.Task.checkpoint_cost = 0.
+      && task.Wfc_dag.Task.recovery_cost <= task.Wfc_dag.Task.weight
+    then skip_false.(p) <- true
+  done;
   (* last position over strict descendants, for the memo's frontier
      signature: a flag at position p is replay-relevant to the suffix from i
      only when some descendant sits at position >= i *)
@@ -157,7 +148,7 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   let node_total = Atomic.make 0 in
   let stopped = Atomic.make false in
   (* root splitting: with one domain the split depth is 0 — a single root
-     explored exactly like the sequential search. With more, enumerate all
+     explored depth-first. With more, enumerate all
      flag prefixes of a depth giving ~4 subtrees per domain, self-scheduled
      so slow subtrees are stolen. *)
   let rec clog2 x = if x <= 1 then 0 else 1 + clog2 ((x + 1) / 2) in
@@ -203,7 +194,8 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   in
   let exception Stop in
   (* the deadline predicate and the cancellation token are polled every 1024
-     expansions, as in the sequential search; the stop flag broadcasts
+     expansions, cheap enough for the hot path and frequent enough for
+     sub-second deadlines; the stop flag broadcasts
      exhaustion (or cancellation) to the pool. Cancellation is remembered
      separately so it can re-raise as [Cancelled] once every domain has
      wound down and joined. *)
@@ -267,11 +259,11 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
         end
         else st.w_pruned <- st.w_pruned + 1
       in
-      if dominance && skip_true.(i) then begin
+      if skip_true.(i) then begin
         st.w_dom <- st.w_dom + 1;
         try_child false (child st i false)
       end
-      else if dominance && skip_false.(i) then begin
+      else if skip_false.(i) then begin
         st.w_dom <- st.w_dom + 1;
         try_child true (child st i true)
       end
@@ -337,145 +329,16 @@ let flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model g
   let makespan = Evaluator.expected_makespan model g schedule in
   ({ schedule; makespan; nodes }, status)
 
-(* ---- sequential search (naive and incremental backends) ---------------- *)
-
-let sequential_bnb ~max_nodes ~should_stop ~cancel ~backend model g ~order =
-  let n = Array.length order in
-  Trace.with_span "exact.bnb"
-    ~args:
-      [ ("n", string_of_int n);
-        ("backend", Eval_engine.backend_name backend) ]
-  @@ fun () ->
-  let tail = tail_bound model g ~order in
-  let flags = Array.make n false in
-  (* E[X_j] for j < i only depends on flags at positions < i, so evaluating
-     with the suffix left untouched yields exact prefix costs. The engine
-     backend keeps an incremental cursor over the search tree's flags: a
-     child evaluation at depth i then only re-runs position i instead of a
-     full evaluation, O(n) per node. *)
-  let engine =
-    match backend with
-    | Eval_engine.Naive | Eval_engine.Flat -> None
-    | Eval_engine.Incremental -> Some (Eval_engine.create model g ~order)
-  in
-  let set_flag p b =
-    flags.(order.(p)) <- b;
-    match engine with
-    | None -> ()
-    | Some e -> Eval_engine.set_flag_at e ~pos:p b
-  in
-  let prefix_cost upto =
-    match engine with
-    | Some e -> Eval_engine.prefix_makespan e ~upto
-    | None ->
-        let r =
-          Evaluator.evaluate model g
-            (Schedule.make g ~order ~checkpointed:flags)
-        in
-        let acc = ref 0. in
-        for j = 0 to upto - 1 do
-          acc := !acc +. r.Evaluator.per_position.(j)
-        done;
-        !acc
-  in
-  (* warm start: best searched heuristic as the incumbent *)
-  let incumbent_flags = ref (Array.make n false) in
-  let incumbent = ref infinity in
-  let try_incumbent candidate =
-    Wfc_platform.Cancel.check cancel;
-    let m =
-      Evaluator.expected_makespan model g
-        (Schedule.make g ~order ~checkpointed:candidate)
-    in
-    if m < !incumbent then begin
-      incumbent := m;
-      incumbent_flags := Array.copy candidate
-    end
-  in
-  List.iter try_incumbent (warm_candidates g ~order);
-  let nodes = ref 0 in
-  let pruned = ref 0 in
-  let incumbent_updates = ref 0 in
-  let exception Stop in
-  (* the deadline predicate is polled every 1024 expansions: cheap enough to
-     leave in the hot path, frequent enough for sub-second deadlines *)
-  let rec go i cost =
-    incr nodes;
-    (* same 1024-node throttle as the deadline predicate; Cancelled escapes
-       the search instead of degrading to Budget_exhausted *)
-    if !nodes land 1023 = 0 then Wfc_platform.Cancel.check cancel;
-    if !nodes > max_nodes || (!nodes land 1023 = 0 && should_stop ()) then
-      raise Stop;
-    if i = n then begin
-      if cost < !incumbent then begin
-        incumbent := cost;
-        incumbent_flags := Array.copy flags;
-        incr incumbent_updates
-      end
-    end
-    else begin
-      (* evaluate both children, then explore the cheaper one first: good
-         incumbents early tighten the pruning *)
-      let child b =
-        set_flag i b;
-        prefix_cost (i + 1)
-      in
-      let cost_true = child true in
-      let cost_false = child false in
-      let ordered =
-        if cost_false <= cost_true then [ (false, cost_false); (true, cost_true) ]
-        else [ (true, cost_true); (false, cost_false) ]
-      in
-      List.iter
-        (fun (b, c) ->
-          if c +. tail.(i + 1) < !incumbent -. 1e-12 then begin
-            set_flag i b;
-            go (i + 1) c
-          end
-          else incr pruned)
-        ordered;
-      set_flag i false
-    end
-  in
-  let status = match go 0 0. with () -> `Optimal | exception Stop -> `Budget_exhausted in
-  if Metrics.enabled () then begin
-    Metrics.add m_nodes !nodes;
-    Metrics.add m_pruned !pruned;
-    Metrics.add m_incumbents !incumbent_updates;
-    Metrics.incr
-      (match status with `Optimal -> m_completed | `Budget_exhausted -> m_exhausted)
-  end;
-  let schedule = Schedule.make g ~order ~checkpointed:!incumbent_flags in
-  let makespan =
-    (* engine leaf costs differ from the oracle by rearrangement ulps; the
-       reported value is always the oracle's *)
-    match engine with
-    | None -> !incumbent
-    | Some _ -> Evaluator.expected_makespan model g schedule
-  in
-  ({ schedule; makespan; nodes = !nodes }, status)
-
 let optimal_checkpoints_within ?(max_nodes = 1_000_000)
     ?(should_stop = fun () -> false)
-    ?(cancel = Wfc_platform.Cancel.never)
-    ?(backend = Eval_engine.Incremental) ?(domains = 1) ?(dominance = true)
-    ?(memo = true) model g ~order =
+    ?(cancel = Wfc_platform.Cancel.never) ?(domains = 1) model g ~order =
   if domains < 1 then
     invalid_arg "Exact_solver.optimal_checkpoints: domains < 1";
   if not (Wfc_dag.Dag.is_linearization g order) then
     invalid_arg "Exact_solver.optimal_checkpoints: invalid order";
-  match backend with
-  | Eval_engine.Flat ->
-      flat_bnb ~max_nodes ~should_stop ~cancel ~domains ~dominance ~memo model
-        g ~order
-  | Eval_engine.Naive | Eval_engine.Incremental ->
-      sequential_bnb ~max_nodes ~should_stop ~cancel ~backend model g ~order
+  bnb ~max_nodes ~should_stop ~cancel ~domains model g ~order
 
-let optimal_checkpoints ?max_nodes ?cancel ?backend ?domains ?dominance ?memo
-    model g ~order =
-  match
-    optimal_checkpoints_within ?max_nodes ?cancel ?backend ?domains ?dominance
-      ?memo model g ~order
-  with
+let optimal_checkpoints ?max_nodes ?cancel ?domains model g ~order =
+  match optimal_checkpoints_within ?max_nodes ?cancel ?domains model g ~order with
   | sol, `Optimal -> sol
   | _, `Budget_exhausted -> raise Node_budget_exceeded

@@ -27,10 +27,7 @@ val optimal_checkpoints_within :
   ?max_nodes:int ->
   ?should_stop:(unit -> bool) ->
   ?cancel:Wfc_platform.Cancel.t ->
-  ?backend:Eval_engine.backend ->
   ?domains:int ->
-  ?dominance:bool ->
-  ?memo:bool ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   order:int array ->
@@ -46,37 +43,31 @@ val optimal_checkpoints_within :
     [cancel] (default {!Wfc_platform.Cancel.never}) is polled at the same
     1024-node throttle as [should_stop] but aborts instead of degrading:
     a cancelled token makes the search raise
-    {!Wfc_platform.Cancel.Cancelled} (on the [Flat] backend only after
-    every worker domain has wound down and joined) rather than return the
-    incumbent. Use [should_stop] for "give me your best under a budget",
-    [cancel] for "stop computing, the caller no longer wants any answer".
+    {!Wfc_platform.Cancel.Cancelled} (only after every worker domain has
+    wound down and joined) rather than return the incumbent. Use
+    [should_stop] for "give me your best under a budget", [cancel] for
+    "stop computing, the caller no longer wants any answer".
 
-    [backend] (default [Incremental]) selects how prefix costs are computed:
-    an {!Eval_engine} cursor tracking the tree's flag assignments
-    ({!Eval_engine.prefix_makespan} — [O(n)] per node), a full
-    {!Evaluator.evaluate} per child ([Naive]), or the {!Flat_engine} kernel
-    ([Flat]). The reported makespan is an oracle value in all cases.
+    Prefix costs come from a {!Flat_engine} cursor tracking the tree's
+    flag assignments ({!Flat_engine.prefix_makespan}, [O(n)] per node); the
+    reported makespan is always an {!Evaluator} value. The incumbent starts
+    from the best of a heuristic sweep, hill-climbed by
+    {!Local_search.improve}. Two sound devices cut the tree:
 
-    The remaining options apply to the [Flat] backend only (ignored
-    otherwise):
+    - static dominance: a task with no strict descendants is never
+      checkpointed (its checkpoint is never read), and a task with zero
+      checkpoint cost and recovery no larger than its weight is always
+      checkpointed;
+    - a memo of leaf completions keyed by a checkpoint-frontier signature
+      (the flags of positions whose strict descendants cross the current
+      depth), re-evaluated as warm-start incumbent candidates when an equal
+      frontier recurs.
 
-    - [domains] (default [1]) explores root subtrees in parallel over
-      {!Wfc_platform.Domain_pool}: the tree is split at a small depth into
-      flag-prefix subtrees, self-scheduled across domains against a shared
-      atomic incumbent. [should_stop] is then called from worker domains and
-      must be thread-safe (a wall-clock deadline is).
-    - [dominance] (default [true]) prunes children by two sound static
-      rules: a task with no strict descendants is never checkpointed (its
-      checkpoint is never read), and a task with zero checkpoint cost and
-      recovery no larger than its weight is always checkpointed.
-    - [memo] (default [true]) caches leaf completions keyed by a
-      checkpoint-frontier signature (the flags of positions whose strict
-      descendants cross the current depth) and re-evaluates them as
-      warm-start incumbent candidates when an equal frontier recurs.
-
-    With [~domains:1 ~dominance:false ~memo:false], the flat search expands
-    exactly the same nodes in the same order as the sequential engine
-    search — the parity configuration used by the test suite.
+    [domains] (default [1]) explores root subtrees in parallel over
+    {!Wfc_platform.Domain_pool}: the tree is split at a small depth into
+    flag-prefix subtrees, self-scheduled across domains against a shared
+    atomic incumbent. [should_stop] is then called from worker domains and
+    must be thread-safe (a wall-clock deadline is).
 
     @raise Invalid_argument if [order] is not a linearization of [g] or
       [domains < 1]. *)
@@ -84,10 +75,7 @@ val optimal_checkpoints_within :
 val optimal_checkpoints :
   ?max_nodes:int ->
   ?cancel:Wfc_platform.Cancel.t ->
-  ?backend:Eval_engine.backend ->
   ?domains:int ->
-  ?dominance:bool ->
-  ?memo:bool ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
   order:int array ->

@@ -1,8 +1,9 @@
 module FM = Wfc_platform.Failure_model
 module Metrics = Wfc_obs.Metrics
-module A1 = Bigarray.Array1
+module FA = Float.Array
 
-(* Kernel observability, flushed once per [ensure] like Eval_engine's. *)
+(* Kernel observability: search-local counts flushed once per [ensure], so a
+   disabled layer costs one atomic load and branch per query. *)
 let m_queries = Metrics.counter "flat.queries"
 let m_rows = Metrics.counter "flat.rows_rebuilt"
 let m_expm1 = Metrics.counter "flat.expm1_calls"
@@ -11,7 +12,7 @@ let m_flips = Metrics.counter "flat.flips"
 
 type vec = FM.vec
 
-(* Everything float lives on contiguous float64 buffers; everything the hot
+(* Everything float lives on unboxed float buffers; everything the hot
    loops mutate that is not a buffer element is an immediate int or bool.
    Float scratch that must survive a loop iteration or a helper call sits in
    [scal] (float array stores are unboxed), int scratch in [iscal]: the
@@ -42,27 +43,21 @@ type t = {
   ewc_off : float array;
   flags : bool array; (* by task, current (possibly uncommitted) *)
   committed : bool array;
-  (* replay matrix in transposed triangular storage: entry (k, i) for
-     k <= i sits at coloff.(i) + k, so the step-i inner loop over fault
-     rows k walks one contiguous span. [u]/[x] cache
-     expm1 (-+ lambda * lost) per entry, computed batched at row-rebuild
-     time: the step loop itself runs transcendental-free. *)
+  (* replay matrix in transposed compact-column storage: column i (the
+     entries (k, i) of every fault row k) is stored only from
+     [col_lo i = min (mp_pos.(i) + 1) (i - 1)] to i, at coloff.(i) + k, so
+     the step-i inner loop over fault rows walks one contiguous span. The
+     head k < col_lo i is structurally zero (see [mp_pos]) and is neither
+     stored nor read: the step loop skips k <= mp_pos.(i) and otherwise only
+     reads entries i - 1 and i, which are always stored. [coloff.(i)] is
+     the column's buffer start minus [col_lo i] (it can be negative).
+     [u]/[x] cache expm1 (-+ lambda * lost) per entry, computed batched at
+     row-rebuild time: the step loop itself runs transcendental-free. *)
   lt : vec;
   u : vec;
   x : vec;
   e_rf : vec; (* by row i: exp (lambda * lost (i, i)) *)
-  (* one-deep previous-value cache per entry: the lost value each slot held
-     before its last change, with the transforms that were computed for it.
-     When a rebuild lands back on the cached value (flip/rollback cycles,
-     local-search revert trials) the transforms are swapped in instead of
-     recomputed — bit-identical, since expm1/exp are functions of the input
-     bits. [lt_prev] starts as (and is invalidated to) NaN, which compares
-     equal to nothing. *)
-  lt_prev : vec;
-  u_prev : vec;
-  x_prev : vec;
-  e_rf_prev : vec;
-  coloff : int array; (* length n + 1; coloff.(n) = slot count *)
+  coloff : int array; (* by position *)
   row_dirty : bool array;
   mutable trans_valid : bool; (* u/x/e_rf match the current lambda *)
   (* Structural sparsity of the replay matrix. Entry (k, i) is trivially
@@ -108,13 +103,23 @@ type t = {
   mutable log_sat : bool;
   mutable n_dirty : int;
   row_wm : int array;
-  reach : int array; (* visit-row bound V(x), as Eval_engine *)
+  (* V(x): no row k > V(x) can visit x during the replay DFS, under the
+     current flags. A task is visited either as the DFS start of its own
+     position (rows k <= pos x) or by recursion from a visited successor
+     when it is not checkpointed. Flipping the flag of [v] therefore only
+     changes rows k in (pos v, max over successors of V], because both v's
+     own charge and any recursion through v into its ancestors require v to
+     be charged. *)
+  reach : int array;
   mutable reach_dirty : int;
       (* highest position whose reach entry may be stale (-1 = clean).
          set_flag_at only records staleness here: the branch-and-bound never
          reads reach, so it must not pay for refreshing it. apply_flip heals
          up to the watermark before consulting charge_bound. *)
-  (* evaluator state, layouts as Eval_engine but flattened *)
+  (* evaluator state: positions [0, eval_valid) are up to date. pex.(k) is
+     exp (-lambda * seg(k)), seg(k) the separating work of fault row k as in
+     Evaluator, kept as a running product so advancing a row costs no
+     transcendental; scal.(0) holds the same product for the fresh row. *)
   pex : vec;
   (* evaluation-restart snapshots of the [pex] prefix, kept sparse: only
      positions that are multiples of 8 get a slot (snapoff.(i), length
@@ -127,15 +132,19 @@ type t = {
   snap_null : vec;
   snapoff : int array;
   snap_start : vec;
-  fp : vec;
-  pp : vec;
-  ms : vec; (* length n + 1 *)
+  fp : vec; (* P(F(X_i)) *)
+  pp : vec; (* E[X_i] *)
+  ms : vec; (* ms.(i) = sum of E[X_j], j < i; length n + 1 *)
   stack_v : int array; (* iterative-DFS stacks, length n + 1 *)
   stack_i : int array;
   scal : float array; (* 0: pfresh; 1: e_xi; 2: sum_p; 3: DFS acc *)
   iscal : int array; (* 0: DFS stack ptr; 1: int acc; 2: journal cursor *)
   mutable eval_valid : int;
+  (* the position whose start-of-step state pex/scal.(0) currently hold;
+     always >= eval_valid. Restoring from a snapshot is only needed (and
+     only sound) when rewinding, i.e. eval_valid < cursor *)
   mutable cursor : int;
+  (* span of uncommitted flips: positions > pend_lo may hold dirty state *)
   mutable pend_lo : int;
   mutable pend_hi : int;
   (* counter staging, flushed per ensure when metrics are enabled *)
@@ -144,13 +153,13 @@ type t = {
   mutable c_steps : int;
 }
 
-let vec len =
-  let v = A1.create Bigarray.Float64 Bigarray.C_layout (Int.max 1 len) in
-  A1.fill v 0.;
-  v
+let vec len = FA.make (Int.max 1 len) 0.
 
-(* uninitialized variant for scratch only ever read after being written *)
-let vec_raw len = A1.create Bigarray.Float64 Bigarray.C_layout (Int.max 1 len)
+(* First stored entry of column i: every entry above it is structurally
+   zero, and entries i - 1 and i are always kept (the step reads both). *)
+let col_lo mp_pos i =
+  let m = mp_pos.(i) in
+  Int.max 0 (if m >= i - 1 then i - 1 else m + 1)
 
 let refresh_tables t =
   let lambda = t.model.FM.lambda in
@@ -158,8 +167,7 @@ let refresh_tables t =
     for v = 0 to t.n - 1 do
       let w = t.weight.(v) in
       let wc = w +. t.ckpt_cost.(v) in
-      (* same expressions as Eval_engine.step evaluates inline, so the cached
-         values are bit-identical to its per-step recomputation *)
+      (* the exact expressions of the expm1 rearrangement in [step] *)
       t.am1_off.(v) <- Float.expm1 (lambda *. w);
       t.am1_on.(v) <- Float.expm1 (lambda *. wc);
       t.ewc_off.(v) <- Float.exp (-.lambda *. w);
@@ -203,10 +211,6 @@ let create ?flags model g ~order =
           invalid_arg "Flat_engine.create: flags have the wrong size";
         Array.copy f
   in
-  let coloff = Array.make (n + 1) 0 in
-  for i = 1 to n do
-    coloff.(i) <- coloff.(i - 1) + i
-  done;
   let snapoff = Array.make (n + 1) 0 in
   for i = 1 to n do
     snapoff.(i) <-
@@ -220,6 +224,14 @@ let create ?flags model g ~order =
           max_int
           (Wfc_dag.Dag.preds_array g order.(i)))
   in
+  let coloff = Array.make (Int.max 1 n) 0 in
+  let nslots = ref 0 in
+  for i = 0 to n - 1 do
+    let lo = col_lo mp_pos i in
+    coloff.(i) <- !nslots - lo;
+    nslots := !nslots + (i - lo + 1)
+  done;
+  let nslots = !nslots in
   (* CSR of the non-trivial entries: column i appears in rows
      mp_pos.(i) + 1 .. i, filled with i ascending so each row list is
      sorted by column. *)
@@ -271,19 +283,13 @@ let create ?flags model g ~order =
       ewc_off = Array.make n 0.;
       flags;
       committed = Array.copy flags;
-      lt = vec coloff.(n);
-      u = vec coloff.(n);
-      x = vec coloff.(n);
+      lt = vec nslots;
+      u = vec nslots;
+      x = vec nslots;
       (* exp (lambda * 0) for the zero matrix the lt buffer starts as, so the
          unchanged-diagonal skip in rebuild_row is correct from the first
          build on *)
-      e_rf = (let v = vec n in A1.fill v 1.; v);
-      lt_prev = (let v = vec_raw coloff.(n) in A1.fill v Float.nan; v);
-      (* a NaN in lt_prev guards every read of the paired slots, so their
-         initial contents never escape *)
-      u_prev = vec_raw coloff.(n);
-      x_prev = vec_raw coloff.(n);
-      e_rf_prev = vec_raw n;
+      e_rf = FA.make (Int.max 1 n) 1.;
       coloff;
       row_dirty = Array.make n true;
       trans_valid = true;
@@ -326,7 +332,7 @@ let create ?flags model g ~order =
   in
   refresh_tables t;
   refresh_reach t;
-  A1.fill t.pex 1.;
+  FA.fill t.pex 0 (FA.length t.pex) 1.;
   t.scal.(0) <- 1.;
   t
 
@@ -343,7 +349,7 @@ let set_model t model =
     t.eval_valid <- 0
   end
 
-(* ---- visit-row bound, as Eval_engine but closure-free ------------------ *)
+(* ---- visit-row bound, closure-free -------------------------------------- *)
 
 let charge_bound t v =
   let iscal = t.iscal in
@@ -550,10 +556,7 @@ let rebuild_row t k =
     and iscal = t.iscal
     and lt = t.lt
     and uvec = t.u
-    and xvec = t.x
-    and lt_prev = t.lt_prev
-    and u_prev = t.u_prev
-    and x_prev = t.x_prev in
+    and xvec = t.x in
     let lambda = t.model.FM.lambda in
     (* entries before [start] never consulted a pending flag, so their visit
        marks (and values) carry over. The fused scan already wrote epoch
@@ -581,54 +584,30 @@ let rebuild_row t k =
         0;
       let s = coloff.(i) + k in
       let nv = scal.(3) in
-      if not (nv = A1.unsafe_get lt s) then begin
-        if lambda > 0. then
-          if nv = A1.unsafe_get lt_prev s then begin
-            (* the slot bounced back to its previous value: the cached
-               transforms are the exact bits a fresh expm1 would produce *)
-            let cu = A1.unsafe_get uvec s and cx = A1.unsafe_get xvec s in
-            A1.unsafe_set uvec s (A1.unsafe_get u_prev s);
-            A1.unsafe_set xvec s (A1.unsafe_get x_prev s);
-            A1.unsafe_set u_prev s cu;
-            A1.unsafe_set x_prev s cx;
-            if i = k then begin
-              let ce = A1.unsafe_get t.e_rf k in
-              A1.unsafe_set t.e_rf k (A1.unsafe_get t.e_rf_prev k);
-              A1.unsafe_set t.e_rf_prev k ce
-            end
-          end
-          else begin
-            A1.unsafe_set u_prev s (A1.unsafe_get uvec s);
-            A1.unsafe_set x_prev s (A1.unsafe_get xvec s);
-            A1.unsafe_set uvec s (Float.expm1 (-.lambda *. nv));
-            A1.unsafe_set xvec s (Float.expm1 (lambda *. nv));
-            t.c_expm1 <- t.c_expm1 + 2;
-            if i = k then begin
-              A1.unsafe_set t.e_rf_prev k (A1.unsafe_get t.e_rf k);
-              A1.unsafe_set t.e_rf k (Float.exp (lambda *. nv))
-            end
-          end;
-        A1.unsafe_set lt_prev s (A1.unsafe_get lt s);
-        A1.unsafe_set lt s nv
+      if not (nv = FA.unsafe_get lt s) then begin
+        if lambda > 0. then begin
+          FA.unsafe_set uvec s (Float.expm1 (-.lambda *. nv));
+          FA.unsafe_set xvec s (Float.expm1 (lambda *. nv));
+          t.c_expm1 <- t.c_expm1 + 2;
+          if i = k then FA.unsafe_set t.e_rf k (Float.exp (lambda *. nv))
+        end;
+        FA.unsafe_set lt s nv
       end
     done;
     t.vl_len.(k) <- iscal.(2);
     t.c_rows <- t.c_rows + 1
   end
 
-(* Rebinding lambda keeps every replay value: one batched sweep over the
-   whole triangle refreshes the cached transforms. *)
+(* Rebinding lambda keeps every replay value: one batched sweep over every
+   stored entry refreshes the cached transforms. *)
 let refresh_trans t =
-  let nslots = t.coloff.(t.n) in
+  let nslots = FA.length t.lt in
   FM.expm1_span t.model ~lost:t.lt ~u:t.u ~x:t.x ~lo:0 ~len:nslots;
-  (* the prev-value cache pairs lost values with transforms for the *old*
-     lambda: poison it so no stale pair can be swapped back in *)
-  A1.fill t.lt_prev Float.nan;
   t.c_expm1 <- t.c_expm1 + (2 * nslots);
   let lambda = t.model.FM.lambda in
   for i = 0 to t.n - 1 do
-    A1.unsafe_set t.e_rf i
-      (Float.exp (lambda *. A1.unsafe_get t.lt (t.coloff.(i) + i)))
+    FA.unsafe_set t.e_rf i
+      (Float.exp (lambda *. FA.unsafe_get t.lt (t.coloff.(i) + i)))
   done;
   t.trans_valid <- true
 
@@ -636,51 +615,61 @@ let refresh_trans t =
 
 let restore t p =
   if p = 0 then begin
-    for j = 0 to A1.dim t.pex - 1 do
-      A1.unsafe_set t.pex j 1.
+    for j = 0 to FA.length t.pex - 1 do
+      FA.unsafe_set t.pex j 1.
     done;
     t.scal.(0) <- 1.
   end
   else begin
     let sb = t.snapoff.(p) in
     for j = 0 to p - 2 do
-      A1.unsafe_set t.pex j (A1.unsafe_get t.snap (sb + j))
+      FA.unsafe_set t.pex j (FA.unsafe_get t.snap (sb + j))
     done;
-    t.scal.(0) <- A1.unsafe_get t.snap_start p
+    t.scal.(0) <- FA.unsafe_get t.snap_start p
   end
 
-(* The Theorem 3 step of Eval_engine.step, same operation order term for
-   term — the difference is only where each value comes from: the expm1
-   transforms are read from the row caches instead of being recomputed, so
-   the loop does no transcendental work. Bit-identical results by
-   construction (cached values are the same bits the inline calls produce,
-   and float-array stores round-trip doubles exactly). *)
+(* One position of the Theorem 3 recurrence, algebraically equal to
+   Evaluator.evaluate's loop body but with the expectation rearranged so
+   each fault row needs a single transcendental:
+
+     E[t(l + w; c; rf - l)] = K e^{lambda rf} (expm1 (lambda (w+c))
+                                               - expm1 (-lambda l))
+
+   for l <= rf (the common case; both summands are non-negative, so the
+   form is cancellation-free for any lambda), with K = 1/lambda + D. The
+   row probability reuses the same expm1: advancing a row multiplies its
+   exp (-lambda * seg) by exp (-lambda * (l + w + c)), and
+   exp (-lambda * l) is (expm1 (-lambda * l)) + 1 in the l <= rf branch and
+   1 / (expm1 (lambda * l) + 1) in the other. Those expm1 values are the
+   [u]/[x] caches filled at row-rebuild time, so the step itself performs
+   no transcendental call; the results agree with the oracle up to the
+   rearrangement's few ulps (pinned at 1e-9 by the differential suites). *)
 let step t i =
   let real_snap = i land 7 = 0 in
   let snap = if real_snap then t.snap else t.snap_null in
   let sb = if real_snap then t.snapoff.(i) else 0 in
-  A1.unsafe_set t.snap_start i t.scal.(0);
+  FA.unsafe_set t.snap_start i t.scal.(0);
   let v = t.order.(i) in
   let lambda = t.model.FM.lambda in
   if lambda = 0. then begin
     for j = 0 to i - 2 do
-      A1.unsafe_set snap (sb + j) (A1.unsafe_get t.pex j)
+      FA.unsafe_set snap (sb + j) (FA.unsafe_get t.pex j)
     done;
     let wc =
       t.weight.(v) +. (if t.flags.(v) then t.ckpt_cost.(v) else 0.)
     in
-    if i >= 1 then A1.unsafe_set t.fp (i - 1) 0.;
-    A1.unsafe_set t.pp i wc;
-    A1.unsafe_set t.ms (i + 1) (A1.unsafe_get t.ms i +. wc)
+    if i >= 1 then FA.unsafe_set t.fp (i - 1) 0.;
+    FA.unsafe_set t.pp i wc;
+    FA.unsafe_set t.ms (i + 1) (FA.unsafe_get t.ms i +. wc)
   end
   else begin
     let kk = (1. /. lambda) +. t.model.FM.downtime in
     let ob = t.coloff.(i) in
-    let rf = A1.unsafe_get t.lt (ob + i) in
+    let rf = FA.unsafe_get t.lt (ob + i) in
     let on = t.flags.(v) in
     let am1 = if on then t.am1_on.(v) else t.am1_off.(v) in
     let ewc = if on then t.ewc_on.(v) else t.ewc_off.(v) in
-    let base = kk *. A1.unsafe_get t.e_rf i in
+    let base = kk *. FA.unsafe_get t.e_rf i in
     let a = am1 +. 1. in
     (* The inner loops are written branch-free where the math allows it,
        without changing a bit of the result:
@@ -714,107 +703,107 @@ let step t i =
     for b = 0 to hb - 1 do
       let k = 4 * b in
       let s1 = scal.(1) and s2 = scal.(2) in
-      let px0 = A1.unsafe_get pex k in
-      A1.unsafe_set snap (sb + k) px0;
-      let p0 = px0 *. A1.unsafe_get fpv k in
+      let px0 = FA.unsafe_get pex k in
+      FA.unsafe_set snap (sb + k) px0;
+      let p0 = px0 *. FA.unsafe_get fpv k in
       let s2 = s2 +. p0 in
       let s1 = s1 +. (p0 *. bam) in
-      A1.unsafe_set pex k (px0 *. ewc);
-      let px1 = A1.unsafe_get pex (k + 1) in
-      A1.unsafe_set snap (sb + k + 1) px1;
-      let p1 = px1 *. A1.unsafe_get fpv (k + 1) in
+      FA.unsafe_set pex k (px0 *. ewc);
+      let px1 = FA.unsafe_get pex (k + 1) in
+      FA.unsafe_set snap (sb + k + 1) px1;
+      let p1 = px1 *. FA.unsafe_get fpv (k + 1) in
       let s2 = s2 +. p1 in
       let s1 = s1 +. (p1 *. bam) in
-      A1.unsafe_set pex (k + 1) (px1 *. ewc);
-      let px2 = A1.unsafe_get pex (k + 2) in
-      A1.unsafe_set snap (sb + k + 2) px2;
-      let p2 = px2 *. A1.unsafe_get fpv (k + 2) in
+      FA.unsafe_set pex (k + 1) (px1 *. ewc);
+      let px2 = FA.unsafe_get pex (k + 2) in
+      FA.unsafe_set snap (sb + k + 2) px2;
+      let p2 = px2 *. FA.unsafe_get fpv (k + 2) in
       let s2 = s2 +. p2 in
       let s1 = s1 +. (p2 *. bam) in
-      A1.unsafe_set pex (k + 2) (px2 *. ewc);
-      let px3 = A1.unsafe_get pex (k + 3) in
-      A1.unsafe_set snap (sb + k + 3) px3;
-      let p3 = px3 *. A1.unsafe_get fpv (k + 3) in
+      FA.unsafe_set pex (k + 2) (px2 *. ewc);
+      let px3 = FA.unsafe_get pex (k + 3) in
+      FA.unsafe_set snap (sb + k + 3) px3;
+      let p3 = px3 *. FA.unsafe_get fpv (k + 3) in
       let s2 = s2 +. p3 in
       let s1 = s1 +. (p3 *. bam) in
-      A1.unsafe_set pex (k + 3) (px3 *. ewc);
+      FA.unsafe_set pex (k + 3) (px3 *. ewc);
       scal.(1) <- s1;
       scal.(2) <- s2
     done;
     for k = 4 * hb to h do
-      let px = A1.unsafe_get pex k in
-      A1.unsafe_set snap (sb + k) px;
-      let p = px *. A1.unsafe_get fpv k in
+      let px = FA.unsafe_get pex k in
+      FA.unsafe_set snap (sb + k) px;
+      let p = px *. FA.unsafe_get fpv k in
       scal.(2) <- scal.(2) +. p;
       scal.(1) <- scal.(1) +. (p *. bam);
-      A1.unsafe_set pex k (px *. ewc)
+      FA.unsafe_set pex k (px *. ewc)
     done;
     let t0 = h + 1 in
     let tb = (i - 1 - t0) / 4 in
     for b = 0 to tb - 1 do
       let k = t0 + (4 * b) in
       let s1 = scal.(1) and s2 = scal.(2) in
-      let px0 = A1.unsafe_get pex k in
-      A1.unsafe_set snap (sb + k) px0;
-      let p0 = px0 *. A1.unsafe_get fpv k in
+      let px0 = FA.unsafe_get pex k in
+      FA.unsafe_set snap (sb + k) px0;
+      let p0 = px0 *. FA.unsafe_get fpv k in
       let s2 = s2 +. p0 in
       let s1 =
-        if A1.unsafe_get lt (ob + k) <= rf then begin
-          let u = A1.unsafe_get uv (ob + k) in
-          A1.unsafe_set pex k (px0 *. (u +. 1.) *. ewc);
+        if FA.unsafe_get lt (ob + k) <= rf then begin
+          let u = FA.unsafe_get uv (ob + k) in
+          FA.unsafe_set pex k (px0 *. (u +. 1.) *. ewc);
           s1 +. (p0 *. (base *. (am1 -. u)))
         end
         else begin
-          let x = A1.unsafe_get xv (ob + k) in
-          A1.unsafe_set pex k (px0 *. ewc /. (x +. 1.));
+          let x = FA.unsafe_get xv (ob + k) in
+          FA.unsafe_set pex k (px0 *. ewc /. (x +. 1.));
           s1 +. (p0 *. (kk *. ((x *. a) +. am1)))
         end
       in
-      let px1 = A1.unsafe_get pex (k + 1) in
-      A1.unsafe_set snap (sb + k + 1) px1;
-      let p1 = px1 *. A1.unsafe_get fpv (k + 1) in
+      let px1 = FA.unsafe_get pex (k + 1) in
+      FA.unsafe_set snap (sb + k + 1) px1;
+      let p1 = px1 *. FA.unsafe_get fpv (k + 1) in
       let s2 = s2 +. p1 in
       let s1 =
-        if A1.unsafe_get lt (ob + k + 1) <= rf then begin
-          let u = A1.unsafe_get uv (ob + k + 1) in
-          A1.unsafe_set pex (k + 1) (px1 *. (u +. 1.) *. ewc);
+        if FA.unsafe_get lt (ob + k + 1) <= rf then begin
+          let u = FA.unsafe_get uv (ob + k + 1) in
+          FA.unsafe_set pex (k + 1) (px1 *. (u +. 1.) *. ewc);
           s1 +. (p1 *. (base *. (am1 -. u)))
         end
         else begin
-          let x = A1.unsafe_get xv (ob + k + 1) in
-          A1.unsafe_set pex (k + 1) (px1 *. ewc /. (x +. 1.));
+          let x = FA.unsafe_get xv (ob + k + 1) in
+          FA.unsafe_set pex (k + 1) (px1 *. ewc /. (x +. 1.));
           s1 +. (p1 *. (kk *. ((x *. a) +. am1)))
         end
       in
-      let px2 = A1.unsafe_get pex (k + 2) in
-      A1.unsafe_set snap (sb + k + 2) px2;
-      let p2 = px2 *. A1.unsafe_get fpv (k + 2) in
+      let px2 = FA.unsafe_get pex (k + 2) in
+      FA.unsafe_set snap (sb + k + 2) px2;
+      let p2 = px2 *. FA.unsafe_get fpv (k + 2) in
       let s2 = s2 +. p2 in
       let s1 =
-        if A1.unsafe_get lt (ob + k + 2) <= rf then begin
-          let u = A1.unsafe_get uv (ob + k + 2) in
-          A1.unsafe_set pex (k + 2) (px2 *. (u +. 1.) *. ewc);
+        if FA.unsafe_get lt (ob + k + 2) <= rf then begin
+          let u = FA.unsafe_get uv (ob + k + 2) in
+          FA.unsafe_set pex (k + 2) (px2 *. (u +. 1.) *. ewc);
           s1 +. (p2 *. (base *. (am1 -. u)))
         end
         else begin
-          let x = A1.unsafe_get xv (ob + k + 2) in
-          A1.unsafe_set pex (k + 2) (px2 *. ewc /. (x +. 1.));
+          let x = FA.unsafe_get xv (ob + k + 2) in
+          FA.unsafe_set pex (k + 2) (px2 *. ewc /. (x +. 1.));
           s1 +. (p2 *. (kk *. ((x *. a) +. am1)))
         end
       in
-      let px3 = A1.unsafe_get pex (k + 3) in
-      A1.unsafe_set snap (sb + k + 3) px3;
-      let p3 = px3 *. A1.unsafe_get fpv (k + 3) in
+      let px3 = FA.unsafe_get pex (k + 3) in
+      FA.unsafe_set snap (sb + k + 3) px3;
+      let p3 = px3 *. FA.unsafe_get fpv (k + 3) in
       let s2 = s2 +. p3 in
       let s1 =
-        if A1.unsafe_get lt (ob + k + 3) <= rf then begin
-          let u = A1.unsafe_get uv (ob + k + 3) in
-          A1.unsafe_set pex (k + 3) (px3 *. (u +. 1.) *. ewc);
+        if FA.unsafe_get lt (ob + k + 3) <= rf then begin
+          let u = FA.unsafe_get uv (ob + k + 3) in
+          FA.unsafe_set pex (k + 3) (px3 *. (u +. 1.) *. ewc);
           s1 +. (p3 *. (base *. (am1 -. u)))
         end
         else begin
-          let x = A1.unsafe_get xv (ob + k + 3) in
-          A1.unsafe_set pex (k + 3) (px3 *. ewc /. (x +. 1.));
+          let x = FA.unsafe_get xv (ob + k + 3) in
+          FA.unsafe_set pex (k + 3) (px3 *. ewc /. (x +. 1.));
           s1 +. (p3 *. (kk *. ((x *. a) +. am1)))
         end
       in
@@ -822,40 +811,40 @@ let step t i =
       scal.(2) <- s2
     done;
     for k = t0 + (4 * tb) to i - 2 do
-      let px = A1.unsafe_get pex k in
-      A1.unsafe_set snap (sb + k) px;
-      let p = px *. A1.unsafe_get fpv k in
+      let px = FA.unsafe_get pex k in
+      FA.unsafe_set snap (sb + k) px;
+      let p = px *. FA.unsafe_get fpv k in
       scal.(2) <- scal.(2) +. p;
-      if A1.unsafe_get lt (ob + k) <= rf then begin
-        let u = A1.unsafe_get uv (ob + k) in
+      if FA.unsafe_get lt (ob + k) <= rf then begin
+        let u = FA.unsafe_get uv (ob + k) in
         scal.(1) <- scal.(1) +. (p *. (base *. (am1 -. u)));
-        A1.unsafe_set pex k (px *. (u +. 1.) *. ewc)
+        FA.unsafe_set pex k (px *. (u +. 1.) *. ewc)
       end
       else begin
-        let x = A1.unsafe_get xv (ob + k) in
+        let x = FA.unsafe_get xv (ob + k) in
         scal.(1) <- scal.(1) +. (p *. (kk *. ((x *. a) +. am1)));
-        A1.unsafe_set pex k (px *. ewc /. (x +. 1.))
+        FA.unsafe_set pex k (px *. ewc /. (x +. 1.))
       end
     done;
     if i >= 1 then begin
       let p_last = Float.max 0. (1. -. scal.(2)) in
-      A1.unsafe_set fpv (i - 1) p_last;
-      let l = A1.unsafe_get lt (ob + i - 1) in
+      FA.unsafe_set fpv (i - 1) p_last;
+      let l = FA.unsafe_get lt (ob + i - 1) in
       if l <= rf then begin
-        let u = A1.unsafe_get uv (ob + i - 1) in
+        let u = FA.unsafe_get uv (ob + i - 1) in
         if p_last > 0. then
           scal.(1) <- scal.(1) +. (p_last *. (base *. (am1 -. u)));
-        A1.unsafe_set pex (i - 1) ((u +. 1.) *. ewc)
+        FA.unsafe_set pex (i - 1) ((u +. 1.) *. ewc)
       end
       else begin
-        let x = A1.unsafe_get xv (ob + i - 1) in
+        let x = FA.unsafe_get xv (ob + i - 1) in
         if p_last > 0. then
           scal.(1) <- scal.(1) +. (p_last *. (kk *. ((x *. a) +. am1)));
-        A1.unsafe_set pex (i - 1) (ewc /. (x +. 1.))
+        FA.unsafe_set pex (i - 1) (ewc /. (x +. 1.))
       end
     end;
-    A1.unsafe_set t.pp i scal.(1);
-    A1.unsafe_set t.ms (i + 1) (A1.unsafe_get t.ms i +. scal.(1));
+    FA.unsafe_set t.pp i scal.(1);
+    FA.unsafe_set t.ms (i + 1) (FA.unsafe_get t.ms i +. scal.(1));
     scal.(0) <- pf *. ewc
   end
 
@@ -904,25 +893,25 @@ let ensure t upto =
 
 let makespan t =
   ensure t t.n;
-  A1.unsafe_get t.ms t.n
+  FA.unsafe_get t.ms t.n
 
-let current_makespan t = A1.unsafe_get t.ms t.n
+let current_makespan t = FA.unsafe_get t.ms t.n
 
 let prefix_makespan t ~upto =
   if upto < 0 || upto > t.n then
     invalid_arg "Flat_engine.prefix_makespan: position out of range";
   ensure t upto;
-  A1.unsafe_get t.ms upto
+  FA.unsafe_get t.ms upto
 
 let suffix_makespan t ~from =
   if from < 0 || from > t.n then
     invalid_arg "Flat_engine.suffix_makespan: position out of range";
   ensure t t.n;
-  A1.unsafe_get t.ms t.n -. A1.unsafe_get t.ms from
+  FA.unsafe_get t.ms t.n -. FA.unsafe_get t.ms from
 
 let per_position t =
   ensure t t.n;
-  Array.init t.n (A1.unsafe_get t.pp)
+  Array.init t.n (FA.unsafe_get t.pp)
 
 let fault_probability t =
   ensure t t.n;
@@ -930,18 +919,18 @@ let fault_probability t =
     let scal = t.scal in
     scal.(2) <- scal.(0);
     for k = 0 to t.n - 2 do
-      scal.(2) <- scal.(2) +. (A1.unsafe_get t.pex k *. A1.unsafe_get t.fp k)
+      scal.(2) <- scal.(2) +. (FA.unsafe_get t.pex k *. FA.unsafe_get t.fp k)
     done;
-    A1.unsafe_set t.fp (t.n - 1) (Float.max 0. (1. -. scal.(2)))
+    FA.unsafe_set t.fp (t.n - 1) (Float.max 0. (1. -. scal.(2)))
   end;
-  Array.init t.n (A1.unsafe_get t.fp)
+  Array.init t.n (FA.unsafe_get t.fp)
 
 let lost_entry t ~last_fault:k ~position:i =
   if k < 0 || i < k || i >= t.n then
     invalid_arg
       (Printf.sprintf "Flat_engine.lost_entry: invalid pair k=%d i=%d" k i);
   ensure t (i + 1);
-  A1.get t.lt (t.coloff.(i) + k)
+  if k < col_lo t.mp_pos i then 0. else FA.get t.lt (t.coloff.(i) + k)
 
 (* ---- mutations --------------------------------------------------------- *)
 

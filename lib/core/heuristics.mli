@@ -76,8 +76,8 @@ val run :
   outcome
 (** [run model g ~lin ~ckpt] linearizes [g] with [lin] then optimizes the
     checkpoint placement with [ckpt]. [search] defaults to [Exhaustive];
-    [backend] (default [Incremental]) selects whether the [N]-sweep is
-    evaluated through {!Eval_engine} or one {!Evaluator} call per candidate;
+    [backend] (default [Flat]) selects whether the [N]-sweep is evaluated
+    through the {!Flat_engine} kernel or one {!Evaluator} call per candidate;
     [rand] seeds the RF linearization. [cancel] (default
     {!Wfc_platform.Cancel.never}) is polled once per candidate: a cancelled
     token makes the sweep raise {!Wfc_platform.Cancel.Cancelled} instead of

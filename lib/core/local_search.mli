@@ -31,10 +31,11 @@ val improve :
     full sweep yields no improvement or [max_evaluations] (default [4000])
     evaluator calls have been spent. The result never degrades the seed.
 
-    [backend] (default [Incremental]) selects how candidate flips are
-    evaluated: through {!Eval_engine.flip} — each flip then costs a suffix
+    [backend] (default [Flat]) selects how candidate flips are evaluated:
+    through {!Flat_engine.flip} — each flip then costs a suffix
     re-evaluation instead of a full one — or through one {!Evaluator} call
-    per flip. Reported makespans are oracle values in both cases.
+    per flip ([Naive]). Reported makespans are oracle values in both
+    cases.
 
     When [s] is replicated, or [max_replicas] is given, the move set also
     includes per-task replica-count steps ([+1] up to [max_replicas],

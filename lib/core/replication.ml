@@ -36,6 +36,21 @@ let attempt_failure_probability ~lambda ~r t =
     !q
   end
 
+(* 1 - attempt_failure_probability, computed without the cancellation of
+   the subtraction: near certain loss (lambda t large) the survival is tiny
+   and 1 - q would keep only the digits q does not use. The per-copy loss
+   probability's logarithm goes through log1p when that loss is likely. *)
+let attempt_survival_probability ~lambda ~r t =
+  if lambda <= 0. || t <= 0. then 1.
+  else begin
+    let e = Float.exp (-.lambda *. t) in
+    let log_q1 =
+      if e < 0.5 then Float.log1p (-.e)
+      else Float.log (-.Float.expm1 (-.lambda *. t))
+    in
+    -.Float.expm1 (float_of_int r *. log_q1)
+  end
+
 (* tau_bar(t) = E[max of r iid Exp(lambda) | all < t] = t - I(t)/F(t) with
    F(s) = (1 - e^{-lambda s})^r and I = integral of F over [0, t], expanded
    by the binomial theorem. The alternating sum cancels catastrophically for
@@ -90,13 +105,12 @@ let expected_attempt_time ~lambda ~downtime ~r ~work ~checkpoint ~recovery =
     else begin
       let a1 = recovery +. a0 in
       let q1 = attempt_failure_probability ~lambda ~r a1 in
-      if q1 >= 1. then Float.infinity
+      let s1 = attempt_survival_probability ~lambda ~r a1 in
+      if s1 <= 0. then Float.infinity
       else begin
         let t0 = conditional_mean_elapsed ~lambda ~r a0 in
         let t1 = conditional_mean_elapsed ~lambda ~r a1 in
-        let retry =
-          (((1. -. q1) *. a1) +. (q1 *. (t1 +. downtime))) /. (1. -. q1)
-        in
+        let retry = ((s1 *. a1) +. (q1 *. (t1 +. downtime))) /. s1 in
         ((1. -. q0) *. a0) +. (q0 *. (t0 +. downtime +. retry))
       end
     end

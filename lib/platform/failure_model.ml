@@ -49,27 +49,23 @@ let success_probability m ~work =
   check_amount "success_probability" work;
   Float.exp (-.m.lambda *. work)
 
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+type vec = Float.Array.t
 
 (* The two expm1 transforms every Theorem 3 fault row needs, batched over a
    contiguous span so the transcendental calls run back-to-back instead of
    interleaving with matrix walks. Takes the model (not a bare float) so the
    non-flambda native compiler passes one pointer and no caller ever boxes
    lambda: the span fill is allocation-free. *)
-(* The explicit [vec] annotations matter: they pin the bigarray kind inside
-   this compilation unit, so the accesses compile to specialized unboxed
-   float64 loads/stores rather than the generic (boxing) path. *)
 let expm1_span m ~(lost : vec) ~(u : vec) ~(x : vec) ~lo ~len =
-  let dim = Bigarray.Array1.dim lost in
-  if lo < 0 || len < 0 || lo + len > dim then
+  if lo < 0 || len < 0 || lo + len > Float.Array.length lost then
     invalid_arg "Failure_model.expm1_span: span out of range";
-  if Bigarray.Array1.dim u < lo + len || Bigarray.Array1.dim x < lo + len then
+  if Float.Array.length u < lo + len || Float.Array.length x < lo + len then
     invalid_arg "Failure_model.expm1_span: output spans too short";
   let lambda = m.lambda in
   for j = lo to lo + len - 1 do
-    let l = Bigarray.Array1.unsafe_get lost j in
-    Bigarray.Array1.unsafe_set u j (Float.expm1 (-.lambda *. l));
-    Bigarray.Array1.unsafe_set x j (Float.expm1 (lambda *. l))
+    let l = Float.Array.unsafe_get lost j in
+    Float.Array.unsafe_set u j (Float.expm1 (-.lambda *. l));
+    Float.Array.unsafe_set x j (Float.expm1 (lambda *. l))
   done
 
 let pp ppf m =

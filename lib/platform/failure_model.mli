@@ -62,8 +62,11 @@ val success_probability : t -> work:float -> float
 (** [success_probability m ~work:w] is [e^{-lambda w}], the probability that
     [w] seconds of execution complete without failure. *)
 
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Contiguous float64 buffer, the storage of the flat evaluation kernel. *)
+type vec = Float.Array.t
+(** Unboxed float buffer, the storage of the evaluation kernel. It lives on
+    the OCaml heap, so the GC sizes its pacing by it (a Bigarray would be
+    off-heap memory the GC only learns about through a custom-block
+    estimate). *)
 
 val expm1_span : t -> lost:vec -> u:vec -> x:vec -> lo:int -> len:int -> unit
 (** [expm1_span m ~lost ~u ~x ~lo ~len] fills, for [j] in

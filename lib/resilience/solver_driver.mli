@@ -30,16 +30,17 @@ type config = {
   ls_evaluations : int;
       (** evaluator budget for hill climbing the exact incumbent *)
   backend : Wfc_core.Eval_engine.backend;
-      (** evaluation backend threaded through every tier *)
+      (** how the local-search and fallback tiers score candidates: the
+          kernel ([Flat]) or the oracle per candidate ([Naive]). The exact
+          tier always runs the one branch and bound on the kernel. *)
   bnb_domains : int;
-      (** domains for the exact tier's parallel branch and bound (flat
-          backend only; the sequential backends ignore it) *)
+      (** domains for the exact tier's parallel branch and bound *)
 }
 
 val default_config : config
 (** [max_nodes = 1_000_000], [deadline = None], exhaustive search, the
     paper's four searched strategies under DF as fallbacks,
-    [ls_evaluations = 2000], incremental backend, [bnb_domains = 1]. *)
+    [ls_evaluations = 2000], [Flat] backend, [bnb_domains = 1]. *)
 
 type result = {
   schedule : Wfc_core.Schedule.t;
@@ -102,8 +103,8 @@ val solve_suffix :
     earliest position) and spends at most [budget] (default 256) candidate
     evaluations — the per-replan budget of the adaptive executor.
 
-    With an engine backend ([Incremental], default, or [Flat]), [engine]
-    supplies an {!Wfc_core.Eval_engine.handle} already bound to
+    With the [Flat] backend (the default), [engine] supplies an
+    {!Wfc_core.Eval_engine.handle} already bound to
     [(g, order)] to reuse across replans: the model is rebound with
     {!Wfc_core.Eval_engine.h_set_model} (cached lost-work rows survive) and
     each candidate costs only the suffix it dirties; on return the engine
@@ -129,7 +130,7 @@ val replanner :
     {!Wfc_simulator.Sim_adaptive}'s callback slot, caching evaluation
     engines per order so successive replans reuse their lost-work rows
     (the re-estimated model is rebound with
-    {!Wfc_core.Eval_engine.set_model}).
+    {!Wfc_core.Eval_engine.h_set_model}).
 
     With [relinearize], each replan also builds a second candidate order —
     the executed prefix followed by the given strategy's linearization

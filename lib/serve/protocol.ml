@@ -166,7 +166,7 @@ let default_solve =
     lin = Lin.Depth_first;
     ckpt = H.Ckpt_weight;
     grid = 0;
-    backend = E.Incremental;
+    backend = E.Flat;
     deadline = None;
   }
 
@@ -198,6 +198,11 @@ let parse_with what of_string v =
   match of_string v with
   | Some x -> Ok x
   | None -> Error (Printf.sprintf "unknown %s %S" what v)
+
+let parse_engine v =
+  match E.backend_of_string v with
+  | Some b -> Ok b
+  | None -> Error (Printf.sprintf "unknown engine %S (flat or naive)" v)
 
 let parse_ratios v =
   List.fold_left
@@ -260,7 +265,7 @@ let solve_of_kvs kvs =
             let* g = parse_int "grid" v in
             Ok ({ p with grid = g }, spec, rest)
         | "engine" ->
-            let* b = parse_with "engine" E.backend_of_string v in
+            let* b = parse_engine v in
             Ok ({ p with backend = b }, spec, rest)
         | "deadline" ->
             let* d = parse_float "deadline" v in
@@ -375,10 +380,10 @@ let request_of_line line =
                     let* g = parse_int "grid" v in
                     Ok ((dir, ratios, g, backend), rest)
                 | "engine" ->
-                    let* b = parse_with "engine" E.backend_of_string v in
+                    let* b = parse_engine v in
                     Ok ((dir, ratios, grid, b), rest)
                 | _ -> Ok ((dir, ratios, grid, backend), (k, v) :: rest))
-              (Ok ((None, [ 0.1; 1.; 10. ], 16, E.Incremental), []))
+              (Ok ((None, [ 0.1; 1.; 10. ], 16, E.Flat), []))
               kvs
           in
           no_extras cmd rest (fun () ->

@@ -28,6 +28,9 @@ type solve_params = {
   ckpt : Wfc_core.Heuristics.ckpt_strategy;
   grid : int;  (** 0 = exhaustive checkpoint-count search *)
   backend : Wfc_core.Eval_engine.backend;
+      (** [engine=flat] (the kernel, default) or [engine=naive] (the oracle
+          per candidate); any other name, [incremental] included, is a
+          [bad-request] *)
   deadline : float option;
       (** compute budget in seconds; mapped deterministically onto the
           solver-driver tiers (never a wall-clock abort, so responses stay
@@ -128,11 +131,11 @@ val spec_source : workflow_spec -> string
 
 val default_solve : solve_params
 (** Text-mode defaults: montage n=30 seed=42 cost=0.1w mtbf=1000 downtime=0
-    lin=DF ckpt=CkptW grid=0 engine=incremental, no deadline. *)
+    lin=DF ckpt=CkptW grid=0 engine=flat, no deadline. *)
 
 val request_of_line : string -> (request, string) result
 (** Parse one text-mode line, e.g.
-    ["solve family=montage n=30 mtbf=500 ckpt=CkptW grid=8 engine=flat"].
+    ["solve family=montage n=30 mtbf=500 ckpt=CkptW grid=8 engine=naive"].
     Unknown commands, unknown keys and unparsable values are [Error]s;
     semantic range checks are left to {!validate}. *)
 

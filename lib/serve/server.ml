@@ -278,7 +278,7 @@ let run_solve t ~cancel (p : Pr.solve_params) =
 let run_simulate t ~cancel (p : Pr.solve_params) ~runs ~mcseed =
   Result.map
     (fun (solved, sched, g, model) ->
-      let est = MC.estimate ~runs ~seed:mcseed model g sched in
+      let est = MC.estimate ~cancel ~runs ~seed:mcseed model g sched in
       let ci_lo, ci_hi = Stats.confidence95 est.MC.makespan in
       {
         Pr.solved;

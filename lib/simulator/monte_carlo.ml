@@ -21,8 +21,9 @@ let aggregate ~runs ~seed run_once =
   done;
   { makespan; failures; wasted }
 
-let estimate ?replica_cost ?(runs = 1000) ~seed model g sched =
-  aggregate ~runs ~seed (fun rng -> Sim.run ?replica_cost ~rng model g sched)
+let estimate ?replica_cost ?cancel ?(runs = 1000) ~seed model g sched =
+  aggregate ~runs ~seed (fun rng ->
+      Sim.run ?replica_cost ?cancel ~rng model g sched)
 
 let estimate_renewal ?replica_cost ?(runs = 1000) ~seed ~failures ~downtime g
     sched =

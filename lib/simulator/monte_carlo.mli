@@ -8,6 +8,7 @@ type estimate = {
 
 val estimate :
   ?replica_cost:float ->
+  ?cancel:Wfc_platform.Cancel.t ->
   ?runs:int ->
   seed:int ->
   Wfc_platform.Failure_model.t ->
@@ -16,7 +17,9 @@ val estimate :
   estimate
 (** [estimate ~seed model g s] aggregates [runs] (default 1000) independent
     simulated executions, deterministically in [seed]. Replicated schedules
-    simulate with [replica_cost] per extra copy (see {!Sim.run}).
+    simulate with [replica_cost] per extra copy (see {!Sim.run}). [cancel]
+    (default {!Wfc_platform.Cancel.never}) reaches every run's failure loop
+    and aborts the estimate with {!Wfc_platform.Cancel.Cancelled}.
 
     @raise Invalid_argument if [runs <= 0]. *)
 

@@ -126,8 +126,11 @@ let renewal_source ~rng ~failures ~downtime =
       (fun () -> remaining := Wfc_platform.Distribution.sample failures rng);
   }
 
-(* Generic blocking-checkpoint engine, parametric in the failure source. *)
-let run_with_source source g sched =
+(* Generic blocking-checkpoint engine, parametric in the failure source.
+   [cancel] is polled once per failure event: a run that keeps failing is
+   the only way this loop can spin unboundedly, and a poll that does not
+   raise changes nothing. *)
+let run_with_source ?(cancel = Wfc_platform.Cancel.never) source g sched =
   if Wfc_core.Schedule.is_replicated sched then
     invalid_arg
       "Sim.run_with_source: replicated schedule needs failure lanes \
@@ -157,6 +160,7 @@ let run_with_source source g sched =
         time := !time +. fail_after +. downtime;
         wasted := !wasted +. fail_after +. downtime;
         incr failures;
+        Wfc_platform.Cancel.check cancel;
         wipe_memory st;
         source.after_failure ()
       end
@@ -175,8 +179,8 @@ let run_with_source source g sched =
    loss is charged at the last copy's death, with that copy's downtime. With
    [lanes = [| s |]] and an unreplicated schedule this replays
    {!run_with_source}'s draws and float operations exactly. *)
-let run_with_lanes ?(replica_cost = Wfc_core.Replication.default_cost) lanes g
-    sched =
+let run_with_lanes ?(replica_cost = Wfc_core.Replication.default_cost)
+    ?(cancel = Wfc_platform.Cancel.never) lanes g sched =
   let n = Wfc_core.Schedule.n_tasks sched in
   if Array.length lanes < Wfc_core.Schedule.max_replica_count sched then
     invalid_arg "Sim.run_with_lanes: fewer lanes than replicas";
@@ -228,6 +232,7 @@ let run_with_lanes ?(replica_cost = Wfc_core.Replication.default_cost) lanes g
         time := !time +. !last_death +. !last_downtime;
         wasted := !wasted +. !last_death +. !last_downtime;
         incr failures;
+        Wfc_platform.Cancel.check cancel;
         wipe_memory st
       end
     done
@@ -240,7 +245,7 @@ let run_with_lanes ?(replica_cost = Wfc_core.Replication.default_cost) lanes g
     { makespan = !time; failures = !failures; wasted = !wasted }
     ~recoveries:st.recoveries
 
-let run ?replica_cost ~rng model g sched =
+let run ?replica_cost ?cancel ~rng model g sched =
   if Wfc_core.Schedule.is_replicated sched then
     (* one source per lane: sequential creation on a shared rng gives
        independent draws, and the memoryless source draws nothing before its
@@ -250,8 +255,8 @@ let run ?replica_cost ~rng model g sched =
         (Wfc_core.Schedule.max_replica_count sched)
         (fun _ -> source_of_model ~rng model)
     in
-    run_with_lanes ?replica_cost lanes g sched
-  else run_with_source (source_of_model ~rng model) g sched
+    run_with_lanes ?replica_cost ?cancel lanes g sched
+  else run_with_source ?cancel (source_of_model ~rng model) g sched
 
 let run_renewal ?replica_cost ~rng ~failures ~downtime g sched =
   if downtime < 0. then invalid_arg "Sim.run_renewal: negative downtime";

@@ -85,10 +85,20 @@ val renewal_source :
 (** Renewal failures: one countdown drawn at start and after every repair,
     consumed by successful segments in between. *)
 
-val run_with_source : source -> Wfc_dag.Dag.t -> Wfc_core.Schedule.t -> run
+val run_with_source :
+  ?cancel:Wfc_platform.Cancel.t ->
+  source ->
+  Wfc_dag.Dag.t ->
+  Wfc_core.Schedule.t ->
+  run
 (** The generic blocking-checkpoint engine, parametric in the failure
     source. {!run} and {!run_renewal} are thin wrappers; {!Trace_io} wraps a
     [source] to record or replay the exact draws.
+
+    [cancel] (default {!Wfc_platform.Cancel.never}) is polled once per
+    failure event; a cancelled token aborts the run with
+    {!Wfc_platform.Cancel.Cancelled}. A run that is not cancelled is
+    unchanged, draw for draw.
 
     @raise Invalid_argument on a replicated schedule — replicas need one
       failure lane per copy ({!run_with_lanes}); running them against a
@@ -96,6 +106,7 @@ val run_with_source : source -> Wfc_dag.Dag.t -> Wfc_core.Schedule.t -> run
 
 val run_with_lanes :
   ?replica_cost:float ->
+  ?cancel:Wfc_platform.Cancel.t ->
   source array ->
   Wfc_dag.Dag.t ->
   Wfc_core.Schedule.t ->
@@ -113,12 +124,14 @@ val run_with_lanes :
     {!Wfc_core.Replication.default_cost}); checkpoint and recovery costs are
     shared, unscaled. [run_with_lanes [| s |]] on an unreplicated schedule
     replays {!run_with_source}'s draws and float operations bit for bit.
+    [cancel] is polled once per lost attempt, as in {!run_with_source}.
 
     @raise Invalid_argument with fewer lanes than
       {!Wfc_core.Schedule.max_replica_count}. *)
 
 val run :
   ?replica_cost:float ->
+  ?cancel:Wfc_platform.Cancel.t ->
   rng:Wfc_platform.Rng.t ->
   Wfc_platform.Failure_model.t ->
   Wfc_dag.Dag.t ->
@@ -127,7 +140,8 @@ val run :
 (** One simulated execution. With [lambda = 0] the result is
     deterministic: the failure-free time plus all checkpoint costs.
     Replicated schedules run on one memoryless lane per copy
-    ({!run_with_lanes}), all drawing from [rng]. *)
+    ({!run_with_lanes}), all drawing from [rng]. [cancel] is polled once
+    per failure event. *)
 
 val run_renewal :
   ?replica_cost:float ->

@@ -1,4 +1,4 @@
-(** Incremental construction of workflow DAGs.
+(** Step-by-step construction of workflow DAGs.
 
     Generators add typed tasks one by one, wiring each to already-added
     dependencies, and finalize into a {!Wfc_dag.Dag.t} whose weights are

@@ -150,78 +150,18 @@ let test_bnb_fail_free () =
     (Schedule.checkpoint_count sol.Exact_solver.schedule);
   Wfc_test_util.check_close "T_inf" 6. sol.Exact_solver.makespan
 
-(* cursor-backed branch and bound must visit the same tree and land on the
-   same optimum as the naive prefix evaluation *)
-let test_backend_invariance () =
-  let module P = Wfc_workflows.Pegasus in
-  let module CM = Wfc_workflows.Cost_model in
-  let model = FM.make ~lambda:5e-3 ~downtime:0.5 () in
-  List.iter
-    (fun (family, n, seed) ->
-      let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
-      let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let naive, st_n =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Naive
-          model g ~order
-      in
-      let engine, st_e =
-        Exact_solver.optimal_checkpoints_within
-          ~backend:Eval_engine.Incremental model g ~order
-      in
-      Alcotest.(check bool) "both optimal" true
-        (st_n = `Optimal && st_e = `Optimal);
-      Alcotest.(check bool) "same flags" true
-        (naive.Exact_solver.schedule.Schedule.checkpointed
-        = engine.Exact_solver.schedule.Schedule.checkpointed);
-      Alcotest.(check (float 0.)) "same makespan" naive.Exact_solver.makespan
-        engine.Exact_solver.makespan;
-      Alcotest.(check int) "same nodes" naive.Exact_solver.nodes
-        engine.Exact_solver.nodes)
-    [ (P.Montage, 14, 5); (P.Ligo, 12, 9); (P.Genome, 16, 3) ]
+(* ---- parallel branch and bound ----------------------------------------- *)
 
-(* ---- flat branch and bound --------------------------------------------- *)
-
-(* with pruning features off and one domain, the flat search must expand the
-   same tree node for node as the sequential engine search *)
-let test_flat_node_parity () =
-  let module P = Wfc_workflows.Pegasus in
-  let module CM = Wfc_workflows.Cost_model in
-  let model = FM.make ~lambda:5e-3 ~downtime:0.5 () in
-  List.iter
-    (fun (family, n, seed) ->
-      let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
-      let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let engine, st_e =
-        Exact_solver.optimal_checkpoints_within
-          ~backend:Eval_engine.Incremental model g ~order
-      in
-      let flat, st_f =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains:1 ~dominance:false ~memo:false model g ~order
-      in
-      Alcotest.(check bool) "both optimal" true
-        (st_e = `Optimal && st_f = `Optimal);
-      Alcotest.(check bool) "same flags" true
-        (engine.Exact_solver.schedule.Schedule.checkpointed
-        = flat.Exact_solver.schedule.Schedule.checkpointed);
-      Alcotest.(check (float 0.)) "same makespan" engine.Exact_solver.makespan
-        flat.Exact_solver.makespan;
-      Alcotest.(check int) "same nodes" engine.Exact_solver.nodes
-        flat.Exact_solver.nodes)
-    [ (P.Montage, 14, 5); (P.Ligo, 12, 9); (P.Genome, 16, 3) ]
-
-(* dominance and memo must never change the optimum, only the node count *)
+(* dominance and memo must never change the optimum, only the node count —
+   also when root subtrees are split across domains, each with its own memo *)
 let prop_flat_bnb_equals_brute_force =
   Wfc_test_util.qtest ~count:40
-    "flat B&B (dominance + memo) = exhaustive subset search"
+    "flat B&B (dominance + memo) = exhaustive subset search, over 2 domains"
     (Wfc_test_util.gen_dag ~max_n:9 ())
     (Format.asprintf "%a" Dag.pp_stats)
     (fun g ->
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let sol =
-        Exact_solver.optimal_checkpoints ~backend:Eval_engine.Flat model g
-          ~order
-      in
+      let sol = Exact_solver.optimal_checkpoints ~domains:2 model g ~order in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
 
@@ -248,10 +188,7 @@ let prop_flat_dominance_zero_cost_exact =
           ()
       in
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
-      let sol =
-        Exact_solver.optimal_checkpoints ~backend:Eval_engine.Flat
-          ~dominance:true ~memo:false model g ~order
-      in
+      let sol = Exact_solver.optimal_checkpoints model g ~order in
       let _, brute = Brute_force.optimal_checkpoints_for_order model g ~order in
       Wfc_test_util.close ~eps:1e-9 sol.Exact_solver.makespan brute)
 
@@ -265,12 +202,10 @@ let test_flat_parallel_agreement () =
       let g = CM.apply (CM.Proportional 0.1) (P.generate family ~n ~seed) in
       let order = Wfc_dag.Linearize.run Wfc_dag.Linearize.Depth_first g in
       let one, st_1 =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains:1 model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:1 model g ~order
       in
       let four, st_4 =
-        Exact_solver.optimal_checkpoints_within ~backend:Eval_engine.Flat
-          ~domains:4 model g ~order
+        Exact_solver.optimal_checkpoints_within ~domains:4 model g ~order
       in
       Alcotest.(check bool) "both optimal" true
         (st_1 = `Optimal && st_4 = `Optimal);
@@ -295,13 +230,9 @@ let () =
           Alcotest.test_case "within budget" `Slow test_bnb_within_budget;
           Alcotest.test_case "order validation" `Quick test_bnb_validates_order;
           Alcotest.test_case "fail-free" `Quick test_bnb_fail_free;
-          Alcotest.test_case "backend invariance" `Quick
-            test_backend_invariance;
         ] );
       ( "flat branch and bound",
         [
-          Alcotest.test_case "node parity with sequential" `Quick
-            test_flat_node_parity;
           prop_flat_bnb_equals_brute_force;
           prop_flat_dominance_zero_cost_exact;
           Alcotest.test_case "parallel = single domain" `Quick

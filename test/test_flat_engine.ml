@@ -1,8 +1,9 @@
-(* Differential harness for the flat kernel. The contract is stronger than
-   the incremental engine's: Flat_engine must agree with the Evaluator
-   oracle at 1e-9 AND with Eval_engine bit for bit — same float operations
-   in the same order, only the storage changes — after any interleaving of
-   flips, batch assignments, rollbacks, commits and prefix queries. *)
+(* Differential harness for the evaluation kernel: after any interleaving
+   of flips, batch assignments, rollbacks, commits and prefix queries,
+   Flat_engine must agree with the Evaluator oracle at 1e-9, hold replay
+   entries bit-identical to Lost_work, and answer every query with the bits
+   a freshly built engine on the same flags gives. The oracle stays the
+   single source of truth; the kernel earns its keep purely on speed. *)
 
 open Wfc_core
 module Builders = Wfc_dag.Builders
@@ -14,7 +15,21 @@ let oracle model g ~order flags =
   Evaluator.expected_makespan model g
     (Schedule.make g ~order:(Array.copy order) ~checkpointed:(Array.copy flags))
 
-(* ---- differential qcheck suite: flat = incremental (bitwise) = oracle --- *)
+let oracle_prefix model g ~order flags upto =
+  let r =
+    Evaluator.evaluate model g
+      (Schedule.make g ~order:(Array.copy order) ~checkpointed:(Array.copy flags))
+  in
+  let acc = ref 0. in
+  for j = 0 to upto - 1 do
+    acc := !acc +. r.Evaluator.per_position.(j)
+  done;
+  !acc
+
+(* a freshly built engine holding [flags]: the path-independence reference *)
+let fresh model g ~order flags = Flat_engine.create ~flags model g ~order
+
+(* ---- differential qcheck suite ------------------------------------------ *)
 
 type op =
   | Flip of int
@@ -60,46 +75,59 @@ let print_scenario (g, model_idx, ops) =
             | Prefix i -> Printf.sprintf "prefix %d" i)
           ops))
 
+let apply flat = function
+  | Flip v -> ignore (Flat_engine.flip flat v)
+  | Quiet_flip v -> Flat_engine.flip_quiet flat v
+  | Set_all f -> Flat_engine.set_flags flat f
+  | Rollback -> Flat_engine.rollback flat
+  | Commit -> Flat_engine.commit flat
+  | Prefix upto -> ignore (Flat_engine.prefix_makespan flat ~upto)
+
 let run_scenario (g, model_idx, ops) =
   let model = List.nth Wfc_test_util.models model_idx in
   let order = Wfc_dag.Dag.topological_order g in
   let flat = Flat_engine.create model g ~order in
-  let inc = Eval_engine.create model g ~order in
+  let committed = ref (Flat_engine.flags flat) in
   List.iter
     (fun op ->
       (match op with
       | Flip v ->
           let mf = Flat_engine.flip flat v in
-          let mi = Eval_engine.flip inc v in
-          if mf <> mi then
-            Alcotest.failf "flip %d: flat %.17g <> inc %.17g" v mf mi
+          if mf <> Flat_engine.makespan flat then
+            Alcotest.failf "flip %d: returned %.17g, makespan %.17g" v mf
+              (Flat_engine.makespan flat)
       | Quiet_flip v ->
           Flat_engine.flip_quiet flat v;
-          let mi = Eval_engine.flip inc v in
           let mf = Flat_engine.current_makespan flat in
-          if mf <> mi then
-            Alcotest.failf "quiet flip %d: flat %.17g <> inc %.17g" v mf mi
-      | Set_all f ->
-          Flat_engine.set_flags flat f;
-          Eval_engine.set_flags inc f
-      | Rollback ->
-          Flat_engine.rollback flat;
-          Eval_engine.rollback inc
+          if mf <> Flat_engine.makespan flat then
+            Alcotest.failf "quiet flip %d: current %.17g, makespan %.17g" v mf
+              (Flat_engine.makespan flat)
+      | Prefix upto ->
+          (* the partial-evaluation cursor must not corrupt later full
+             queries; also pin its value against a fresh engine's and the
+             oracle's prefix sums *)
+          let pf = Flat_engine.prefix_makespan flat ~upto in
+          let flags = Flat_engine.flags flat in
+          let pr = Flat_engine.prefix_makespan (fresh model g ~order flags) ~upto in
+          if pf <> pr then
+            Alcotest.failf "prefix %d: flat %.17g <> fresh %.17g" upto pf pr;
+          let po = oracle_prefix model g ~order flags upto in
+          if not (rel_close pf po) then
+            Alcotest.failf "prefix %d: flat %.17g oracle %.17g" upto pf po
       | Commit ->
           Flat_engine.commit flat;
-          Eval_engine.commit inc
-      | Prefix upto ->
-          let pf = Flat_engine.prefix_makespan flat ~upto in
-          let pi = Eval_engine.prefix_makespan inc ~upto in
-          if pf <> pi then
-            Alcotest.failf "prefix %d: flat %.17g <> inc %.17g" upto pf pi);
-      if Flat_engine.flags flat <> Eval_engine.flags inc then
-        Alcotest.fail "flag vectors diverged";
+          committed := Flat_engine.flags flat
+      | Rollback ->
+          Flat_engine.rollback flat;
+          if Flat_engine.flags flat <> !committed then
+            Alcotest.fail "rollback did not restore committed flags"
+      | op -> apply flat op);
       let mf = Flat_engine.makespan flat in
-      let mi = Eval_engine.makespan inc in
-      if mf <> mi then
-        Alcotest.failf "makespan: flat %.17g <> inc %.17g" mf mi;
-      let m' = oracle model g ~order (Flat_engine.flags flat) in
+      let flags = Flat_engine.flags flat in
+      let mr = Flat_engine.makespan (fresh model g ~order flags) in
+      if mf <> mr then
+        Alcotest.failf "makespan: flat %.17g <> fresh %.17g" mf mr;
+      let m' = oracle model g ~order flags in
       if not (rel_close mf m') then
         Alcotest.failf "flat %.17g oracle %.17g" mf m')
     ops;
@@ -107,62 +135,141 @@ let run_scenario (g, model_idx, ops) =
 
 let differential =
   Wfc_test_util.qtest ~count:500
-    "any flip/set/rollback interleaving: flat = incremental (bitwise) = oracle"
+    "any flip/set/rollback interleaving: flat = fresh engine (bitwise) = oracle"
     gen_scenario print_scenario run_scenario
 
+(* the search-facing handle over the kernel: the same interleavings driven
+   through the [Eval_engine.h_*] operations the search loops call must
+   agree with the oracle, and a rollback must restore the committed flags *)
+let handle_differential =
+  Wfc_test_util.qtest ~count:500 "any flip/set/rollback interleaving = oracle"
+    gen_scenario print_scenario (fun (g, model_idx, ops) ->
+      let model = List.nth Wfc_test_util.models model_idx in
+      let order = Wfc_dag.Dag.topological_order g in
+      let h = Eval_engine.handle Eval_engine.Flat model g ~order in
+      let committed = ref (Eval_engine.h_flags h) in
+      List.iter
+        (fun op ->
+          (match op with
+          | Flip v | Quiet_flip v ->
+              let m = Eval_engine.h_flip h v in
+              if m <> Eval_engine.h_makespan h then
+                Alcotest.failf "h_flip %d: returned %.17g, makespan %.17g" v m
+                  (Eval_engine.h_makespan h)
+          | Set_all f -> Eval_engine.h_set_flags h f
+          | Commit ->
+              Eval_engine.h_commit h;
+              committed := Eval_engine.h_flags h
+          | Rollback ->
+              Eval_engine.h_rollback h;
+              if Eval_engine.h_flags h <> !committed then
+                Alcotest.fail "rollback did not restore committed flags"
+          | Prefix upto ->
+              let p = Eval_engine.h_prefix_makespan h ~upto in
+              let po = oracle_prefix model g ~order (Eval_engine.h_flags h) upto in
+              if not (rel_close p po) then
+                Alcotest.failf "prefix %d: handle %.17g oracle %.17g" upto p po);
+          let m = Eval_engine.h_makespan h in
+          let m' = oracle model g ~order (Eval_engine.h_flags h) in
+          if not (rel_close m m') then
+            Alcotest.failf "handle %.17g oracle %.17g" m m')
+        ops;
+      true)
+
 let vectors_bitwise =
-  Wfc_test_util.qtest ~count:200 "per-position and fault vectors bitwise"
+  Wfc_test_util.qtest ~count:200
+    "per-position and fault vectors bitwise = fresh engine" gen_scenario
+    print_scenario (fun (g, model_idx, ops) ->
+      let model = List.nth Wfc_test_util.models model_idx in
+      let order = Wfc_dag.Dag.topological_order g in
+      let flat = Flat_engine.create model g ~order in
+      List.iter (apply flat) ops;
+      let r = fresh model g ~order (Flat_engine.flags flat) in
+      Flat_engine.per_position flat = Flat_engine.per_position r
+      && Flat_engine.fault_probability flat = Flat_engine.fault_probability r
+      && Flat_engine.suffix_makespan flat ~from:0
+         = Flat_engine.suffix_makespan r ~from:0)
+
+(* per-position and fault-probability vectors must agree with the oracle's
+   too, not just their sum *)
+let vectors_against_oracle =
+  Wfc_test_util.qtest ~count:200 "per-position and fault vectors = oracle"
     gen_scenario print_scenario (fun (g, model_idx, ops) ->
       let model = List.nth Wfc_test_util.models model_idx in
       let order = Wfc_dag.Dag.topological_order g in
       let flat = Flat_engine.create model g ~order in
-      let inc = Eval_engine.create model g ~order in
-      List.iter
-        (function
-          | Flip v | Quiet_flip v ->
-              Flat_engine.flip_quiet flat v;
-              ignore (Eval_engine.flip inc v)
-          | Set_all f ->
-              Flat_engine.set_flags flat f;
-              Eval_engine.set_flags inc f
-          | Rollback ->
-              Flat_engine.rollback flat;
-              Eval_engine.rollback inc
-          | Commit ->
-              Flat_engine.commit flat;
-              Eval_engine.commit inc
-          | Prefix _ -> ())
-        ops;
-      Flat_engine.per_position flat = Eval_engine.per_position inc
-      && Flat_engine.fault_probability flat = Eval_engine.fault_probability inc
-      && Flat_engine.suffix_makespan flat ~from:0
-         = Eval_engine.suffix_makespan inc ~from:0)
+      List.iter (apply flat) ops;
+      let r =
+        Evaluator.evaluate model g
+          (Schedule.make g ~order:(Array.copy order)
+             ~checkpointed:(Flat_engine.flags flat))
+      in
+      let pp = Flat_engine.per_position flat in
+      let fp = Flat_engine.fault_probability flat in
+      Array.iteri
+        (fun i e ->
+          if not (rel_close e r.Evaluator.per_position.(i)) then
+            Alcotest.failf "per_position.(%d): %.17g <> %.17g" i e
+              r.Evaluator.per_position.(i))
+        pp;
+      Array.iteri
+        (fun i p ->
+          if not (rel_close p r.Evaluator.fault_probability.(i)) then
+            Alcotest.failf "fault_probability.(%d): %.17g <> %.17g" i p
+              r.Evaluator.fault_probability.(i))
+        fp;
+      true)
 
-(* the kernel's replay entries must be Lost_work's, bit for bit *)
+(* the kernel's replay entries must be Lost_work's, bit for bit, at
+   creation and after any mutation sequence — including the structurally
+   zero head of each column, which the kernel does not store *)
 let lost_entries_bitwise =
   Wfc_test_util.qtest ~count:200 "replay matrix bitwise = Lost_work"
     QCheck2.Gen.(
-      pair (Wfc_test_util.gen_dag ~max_n:9 ()) (int_range 0 max_int))
-    (fun (g, bits) -> Format.asprintf "%a bits=%d" Wfc_dag.Dag.pp_stats g bits)
-    (fun (g, bits) ->
+      let* g = Wfc_test_util.gen_dag ~max_n:9 () in
+      let n = Wfc_dag.Dag.n_tasks g in
+      let* bits = int_range 0 max_int in
+      let* ops =
+        list_size (int_range 0 12)
+          (frequency
+             [
+               (4, map (fun v -> Flip v) (int_range 0 (n - 1)));
+               (2, map (fun f -> Set_all f) (array_repeat n bool));
+               (1, return Rollback);
+               (1, return Commit);
+             ])
+      in
+      return (g, bits, ops))
+    (fun (g, bits, ops) ->
+      Printf.sprintf "%s bits=%d" (print_scenario (g, 0, ops)) bits)
+    (fun (g, bits, ops) ->
       let n = Wfc_dag.Dag.n_tasks g in
       let order = Wfc_dag.Dag.topological_order g in
       let flags = Array.init n (fun v -> (bits lsr (v mod 30)) land 1 = 1) in
       let model = List.hd Wfc_test_util.models in
       let flat = Flat_engine.create ~flags model g ~order in
-      let lw =
-        Lost_work.compute g (Schedule.make g ~order ~checkpointed:flags)
+      let matches () =
+        let lw =
+          Lost_work.compute g
+            (Schedule.make g ~order ~checkpointed:(Flat_engine.flags flat))
+        in
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          for k = 0 to i do
+            if
+              Flat_engine.lost_entry flat ~last_fault:k ~position:i
+              <> Lost_work.replay_time lw ~last_fault:k ~position:i
+            then ok := false
+          done
+        done;
+        !ok
       in
-      let ok = ref true in
-      for i = 0 to n - 1 do
-        for k = 0 to i do
-          if
-            Flat_engine.lost_entry flat ~last_fault:k ~position:i
-            <> Lost_work.replay_time lw ~last_fault:k ~position:i
-          then ok := false
-        done
-      done;
-      !ok)
+      matches ()
+      && List.for_all
+           (fun op ->
+             apply flat op;
+             matches ())
+           ops)
 
 (* ---- structured fixed cases ---- *)
 
@@ -170,23 +277,22 @@ let flip_walk model g =
   let order = Wfc_dag.Dag.topological_order g in
   let n = Wfc_dag.Dag.n_tasks g in
   let flat = Flat_engine.create model g ~order in
-  let inc = Eval_engine.create model g ~order in
   let check msg =
-    let mf = Flat_engine.makespan flat and mi = Eval_engine.makespan inc in
-    if mf <> mi then Alcotest.failf "%s: flat %.17g <> inc %.17g" msg mf mi;
+    let mf = Flat_engine.makespan flat in
+    let mr = Flat_engine.makespan (fresh model g ~order (Flat_engine.flags flat)) in
+    if mf <> mr then Alcotest.failf "%s: flat %.17g <> fresh %.17g" msg mf mr;
     let m' = oracle model g ~order (Flat_engine.flags flat) in
     if not (rel_close mf m') then
       Alcotest.failf "%s: flat %.17g oracle %.17g" msg mf m'
   in
   check "initial";
+  (* walk every single flip on and off *)
   for v = 0 to n - 1 do
     Flat_engine.flip_quiet flat v;
-    ignore (Eval_engine.flip inc v);
     check (Printf.sprintf "flip on %d" v)
   done;
   for v = n - 1 downto 0 do
     Flat_engine.flip_quiet flat v;
-    ignore (Eval_engine.flip inc v);
     check (Printf.sprintf "flip off %d" v)
   done
 
@@ -226,6 +332,7 @@ let test_single_task () =
   List.iter (fun model -> flip_walk model g) Wfc_test_util.models
 
 let test_lambda_zero () =
+  (* failure-free platform: makespan is exactly the flagged work sum *)
   let g =
     Builders.chain
       ~weights:[| 2.; 3.; 4. |]
@@ -241,6 +348,7 @@ let test_lambda_zero () =
   Alcotest.(check (float 1e-12)) "all flags" 10.5 (Flat_engine.makespan engine)
 
 let test_rollback_is_bitwise () =
+  (* same flags reached by different paths give bit-identical makespans *)
   let g =
     Builders.fork_join ~source_weight:4. ~middle_weights:[| 2.; 6. |]
       ~sink_weight:3.
@@ -265,8 +373,8 @@ let test_rollback_is_bitwise () =
 
 let test_prefix_cursor () =
   (* the branch-and-bound access pattern: assign flags left to right asking
-     only for prefix costs, with backtracking; flat and incremental cursors
-     must hold bit-equal values at every horizon *)
+     only for prefix costs, with backtracking; the cursor must hold the bits
+     of a fresh engine, and the oracle's value, at every horizon *)
   let g =
     let rng = Wfc_platform.Rng.create 11 in
     Builders.layered
@@ -282,19 +390,21 @@ let test_prefix_cursor () =
   let order = Wfc_dag.Dag.topological_order g in
   let n = Array.length order in
   let flat = Flat_engine.create model g ~order in
-  let inc = Eval_engine.create model g ~order in
   let check_prefix upto =
+    let flags = Flat_engine.flags flat in
     let pf = Flat_engine.prefix_makespan flat ~upto in
-    let pi = Eval_engine.prefix_makespan inc ~upto in
-    if pf <> pi then
-      Alcotest.failf "prefix %d: flat %.17g <> inc %.17g" upto pf pi
+    let pr = Flat_engine.prefix_makespan (fresh model g ~order flags) ~upto in
+    if pf <> pr then
+      Alcotest.failf "prefix %d: flat %.17g <> fresh %.17g" upto pf pr;
+    let po = oracle_prefix model g ~order flags upto in
+    if not (rel_close pf po) then
+      Alcotest.failf "prefix %d: flat %.17g oracle %.17g" upto pf po
   in
   let rec walk i =
     if i < n then begin
       List.iter
         (fun b ->
           Flat_engine.set_flag_at flat ~pos:i b;
-          Eval_engine.set_flag_at inc ~pos:i b;
           check_prefix (i + 1);
           if i < 3 then walk (i + 1))
         [ true; false ]
@@ -315,25 +425,82 @@ let test_set_model () =
   let order = Wfc_dag.Dag.topological_order g in
   let m0 = FM.make ~lambda:1e-3 ~downtime:1. () in
   let m1 = FM.make ~lambda:0.07 ~downtime:0.4 () in
+  (* a rebound engine must hold the bits of one built under the new model *)
   let flat = Flat_engine.create m0 g ~order in
-  let inc = Eval_engine.create m0 g ~order in
+  let rebuilt m =
+    Flat_engine.makespan (fresh m g ~order (Flat_engine.flags flat))
+  in
   ignore (Flat_engine.flip flat 1);
-  ignore (Eval_engine.flip inc 1);
   Flat_engine.set_model flat m1;
-  Eval_engine.set_model inc m1;
   ignore (Flat_engine.flip flat 3);
-  ignore (Eval_engine.flip inc 3);
-  Alcotest.(check (float 0.)) "post-rebind bitwise" (Eval_engine.makespan inc)
+  Alcotest.(check (float 0.)) "post-rebind bitwise" (rebuilt m1)
     (Flat_engine.makespan flat);
   (* and a rebind to lambda = 0 and back *)
-  Flat_engine.set_model flat (FM.make ~lambda:0. ());
-  Eval_engine.set_model inc (FM.make ~lambda:0. ());
-  Alcotest.(check (float 0.)) "lambda 0 bitwise" (Eval_engine.makespan inc)
+  let m_free = FM.make ~lambda:0. () in
+  Flat_engine.set_model flat m_free;
+  Alcotest.(check (float 0.)) "lambda 0 bitwise" (rebuilt m_free)
     (Flat_engine.makespan flat);
   Flat_engine.set_model flat m1;
-  Eval_engine.set_model inc m1;
-  Alcotest.(check (float 0.)) "back again" (Eval_engine.makespan inc)
+  Alcotest.(check (float 0.)) "back again" (rebuilt m1)
     (Flat_engine.makespan flat)
+
+(* ---- batch evaluation ---- *)
+
+let test_batch_matches_oracle_and_split () =
+  let g =
+    Builders.fork_join ~source_weight:2. ~middle_weights:[| 3.; 1.; 4. |]
+      ~sink_weight:2.
+      ~checkpoint_cost:(fun _ w -> 0.2 *. w)
+      ()
+  in
+  let model = FM.make ~lambda:0.06 ~downtime:0.2 () in
+  let order = Wfc_dag.Dag.topological_order g in
+  let n = Array.length order in
+  let rng = Wfc_platform.Rng.create 7 in
+  let candidates =
+    List.init 23 (fun _ ->
+        Array.init n (fun _ -> Wfc_platform.Rng.int rng 2 = 0))
+  in
+  let results = Eval_engine.batch_evaluate ~domains:1 model g ~order candidates in
+  List.iter2
+    (fun flags m ->
+      let m' = oracle model g ~order flags in
+      if not (rel_close m m') then
+        Alcotest.failf "batch vs oracle: %.17g <> %.17g" m m')
+    candidates results;
+  (* bit-identical whatever the parallelism degree *)
+  List.iter
+    (fun domains ->
+      let r = Eval_engine.batch_evaluate ~domains model g ~order candidates in
+      if not (List.for_all2 (fun a b -> a = b) results r) then
+        Alcotest.failf "batch not deterministic at %d domains" domains)
+    [ 2; 3; 5; 64 ]
+
+(* ---- validation ---- *)
+
+let test_validation () =
+  let g = Builders.chain ~weights:[| 1.; 2. |] () in
+  let model = FM.make ~lambda:0.1 () in
+  let expect_invalid f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "expected Invalid_argument"
+  in
+  expect_invalid (fun () -> Flat_engine.create model g ~order:[| 1; 0 |]);
+  expect_invalid (fun () ->
+      Flat_engine.create ~flags:[| true |] model g ~order:[| 0; 1 |]);
+  let engine = Flat_engine.create model g ~order:[| 0; 1 |] in
+  expect_invalid (fun () -> Flat_engine.flip engine 2);
+  expect_invalid (fun () -> Flat_engine.prefix_makespan engine ~upto:3);
+  expect_invalid (fun () -> Flat_engine.set_flag_at engine ~pos:(-1) false);
+  expect_invalid (fun () -> Flat_engine.set_flags engine [| true |]);
+  expect_invalid (fun () ->
+      Flat_engine.lost_entry engine ~last_fault:1 ~position:0);
+  expect_invalid (fun () ->
+      Eval_engine.handle Eval_engine.Naive model g ~order:[| 0; 1 |]);
+  expect_invalid (fun () ->
+      Eval_engine.batch_evaluate ~domains:0 model g ~order:[| 0; 1 |]
+        [ [| false; false |] ])
 
 (* ---- allocation guard ---- *)
 
@@ -378,7 +545,13 @@ let () =
   Alcotest.run "flat_engine"
     [
       ( "differential",
-        [ differential; vectors_bitwise; lost_entries_bitwise ] );
+        [
+          differential;
+          handle_differential;
+          vectors_bitwise;
+          vectors_against_oracle;
+          lost_entries_bitwise;
+        ] );
       ( "structures",
         [
           Alcotest.test_case "chain" `Quick test_chain;
@@ -392,6 +565,12 @@ let () =
           Alcotest.test_case "prefix cursor" `Quick test_prefix_cursor;
           Alcotest.test_case "set_model" `Quick test_set_model;
         ] );
+      ( "batch",
+        [
+          Alcotest.test_case "oracle + split invariance" `Quick
+            test_batch_matches_oracle_and_split;
+        ] );
+      ("validation", [ Alcotest.test_case "arguments" `Quick test_validation ]);
       ( "allocation",
         [
           Alcotest.test_case "flip_quiet is allocation-free" `Quick

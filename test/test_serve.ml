@@ -7,7 +7,7 @@
    2. A warm-cache solve is bit-identical to a cold one: same request
       through a cache-enabled server, a cache-disabled server, and again
       through the warm cache (hit path) must produce structurally equal
-      responses, across all three evaluation backends and under
+      responses, across both evaluation backends and under
       interleaved eviction on a capacity-1 cache.
    3. The LRU's take/put checkout semantics hold their invariants
       (capacity bound, MRU ordering, eviction of the least recent), and
@@ -32,7 +32,7 @@ open QCheck2
 let gen_family = Gen.oneofl P.extended
 let gen_lin = Gen.oneofl Lin.[ Depth_first; Breadth_first; Random_first; Depth_first_blevel ]
 let gen_ckpt = Gen.oneofl H.all_ckpt_strategies
-let gen_backend = Gen.oneofl EE.[ Naive; Incremental; Flat ]
+let gen_backend = Gen.oneofl EE.[ Naive; Flat ]
 
 let gen_cost =
   Gen.(
@@ -275,6 +275,29 @@ let test_text_parse () =
   (match Pr.request_of_line "solve frobnicate=1" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown key must not parse");
+  (* the removed second kernel is a structured error on both transports *)
+  (match Pr.request_of_line "solve family=ligo n=12 engine=incremental" with
+  | Error m ->
+      Alcotest.(check string) "incremental is gone"
+        "unknown engine \"incremental\" (flat or naive)" m
+  | Ok _ -> Alcotest.fail "engine=incremental must not parse");
+  (let frame = Codec.encode_request ~id:7L (Pr.Solve Pr.default_solve) in
+   let flat = "\000\000\000\004flat" in
+   let i =
+     let rec find i =
+       if String.sub frame i (String.length flat) = flat then i
+       else find (i + 1)
+     in
+     find 0
+   in
+   let frame =
+     String.sub frame 0 i ^ "\000\000\000\011incremental"
+     ^ String.sub frame (i + String.length flat)
+         (String.length frame - i - String.length flat)
+   in
+   match Codec.decode_request frame with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "an incremental engine frame must not decode");
   (match Pr.request_of_line "launch-missiles" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown command must not parse");
@@ -388,7 +411,7 @@ let test_simulate_cached_identical () =
 
 let key i =
   { Key.dag = Int64.of_int i; order = 0L; lambda = 0L; downtime = 0L;
-    backend = EE.Incremental }
+    backend = EE.Flat }
 
 let dummy_handle =
   let g =
@@ -398,7 +421,7 @@ let dummy_handle =
       ~weights:[| 1.; 1.; 1. |]
       ~edges:[ (0, 1); (1, 2) ] ()
   in
-  EE.handle EE.Incremental (FM.of_mtbf ~mtbf:100. ()) g ~order:[| 0; 1; 2 |]
+  EE.handle EE.Flat (FM.of_mtbf ~mtbf:100. ()) g ~order:[| 0; 1; 2 |]
 
 let test_lru_basics () =
   let c = Cache.create ~capacity:2 in
